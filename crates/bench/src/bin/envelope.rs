@@ -1,17 +1,9 @@
-//! Scenario-space intelligence bench: warm-started Picard chaining and
-//! runaway-envelope bisection vs their cold/exhaustive oracles,
-//! emitting `BENCH_envelope.json`.
+//! Scenario-space bench: runaway-envelope bisection vs its exhaustive
+//! oracle, emitting `BENCH_envelope.json`.
 //!
-//! Three audited measurements on the paper's three-block floorplan
-//! under budgets that put the runaway boundary inside the swept Vdd
-//! interval:
+//! Two audited measurements on the paper's three-block floorplan under
+//! budgets that put the runaway boundary inside the swept Vdd interval:
 //!
-//! * **warm iteration ratio** — total Picard iterations of a
-//!   warm-started sweep over a monotone Vdd grid vs the identical cold
-//!   sweep. Warm chaining seeds each scenario from its converged
-//!   predecessor, so the ratio must sit below 1; the fixed points must
-//!   agree to ≤ 1e-9 K (the warm-start contract `tests/
-//!   warm_start_validation.rs` proves under proptest).
 //! * **bisection solve ratio** — Picard solves spent by
 //!   [`SweepEngine::map_envelope`] vs the exhaustive
 //!   tolerance-stepped march it prices (`exhaustive_solves`), gated
@@ -31,8 +23,6 @@ use ptherm_tech::Technology;
 use std::time::Instant;
 
 struct BenchConfig {
-    /// Monotone Vdd axis length for the warm-vs-cold sweep.
-    warm_vdd_points: usize,
     /// Bracket tolerance for the envelope map.
     tolerance: f64,
     label: &'static str,
@@ -46,18 +36,10 @@ fn main() {
 /// The bench engine: paper floorplan, iteration budget raised so
 /// probes that land near the boundary (critical slowing down) still
 /// classify instead of timing out.
-fn engine(warm: bool) -> SweepEngine {
+fn engine() -> SweepEngine {
     SweepEngine::new(Floorplan::paper_three_blocks())
         .threads(ptherm_par::default_threads())
-        .warm_start(warm)
         .configure(|s| s.max_iterations = 2000)
-}
-
-/// The warm-vs-cold engines additionally tighten the Picard tolerance
-/// far below the 1e-9 K agreement gate, so warm/cold disagreement
-/// would be a real seeding bug rather than loop-exit truncation.
-fn tight_engine(warm: bool) -> SweepEngine {
-    engine(warm).configure(|s| s.tolerance_k = 1e-10)
 }
 
 fn grid(vdd: Vec<f64>, activities: Vec<f64>, ambients: Vec<f64>) -> ScenarioGrid {
@@ -80,79 +62,23 @@ const HI: f64 = 4.0;
 fn bench(quick: bool) -> i32 {
     let cfg = if quick {
         BenchConfig {
-            warm_vdd_points: 16,
             tolerance: 0.05,
-            label: "quick (CI smoke): 16-point warm fiber, 0.05 bracket",
+            label: "quick (CI smoke): 0.05 bracket",
         }
     } else {
         BenchConfig {
-            warm_vdd_points: 48,
             tolerance: 0.02,
-            label: "48-point warm fiber, 0.02 bracket",
+            label: "0.02 bracket",
         }
     };
     header(
         "Envelope",
         &format!(
-            "warm-started Picard + runaway-envelope bisection vs cold/exhaustive oracles, {} \
-             ({} threads)",
+            "runaway-envelope bisection vs the exhaustive oracle, {} ({} threads)",
             cfg.label,
             ptherm_par::default_threads()
         ),
     );
-
-    // --- warm vs cold iterations on a monotone sweep ----------------------
-    // The whole grid sits below the runaway boundary so every lane
-    // converges and the iteration totals compare like for like.
-    let vdd: Vec<f64> = (0..cfg.warm_vdd_points)
-        .map(|i| 0.8 + i as f64 * (1.7 - 0.8) / (cfg.warm_vdd_points - 1) as f64)
-        .collect();
-    let warm_grid = grid(vdd, vec![0.5, 1.0], vec![300.0, 330.0]);
-    let cold_engine = tight_engine(false);
-    let model = cold_engine.uniform_tech_power(DYNAMIC_W, LEAKAGE_W);
-    let t0 = Instant::now();
-    let cold = cold_engine.run(&warm_grid, &model);
-    let cold_wall_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let warm = tight_engine(true).run(&warm_grid, &model);
-    let warm_wall_s = t0.elapsed().as_secs_f64();
-
-    let total_iterations = |report: &ptherm_core::cosim::SweepReport| {
-        report
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                SweepOutcome::Converged { iterations, .. } => *iterations,
-                _ => 0,
-            })
-            .sum::<usize>()
-    };
-    let cold_iterations = total_iterations(&cold);
-    let warm_iterations = total_iterations(&warm);
-    let warm_iteration_ratio = warm_iterations as f64 / cold_iterations as f64;
-    let max_warm_gap_k = cold
-        .outcomes
-        .iter()
-        .zip(&warm.outcomes)
-        .filter_map(|(c, w)| match (c, w) {
-            (
-                SweepOutcome::Converged {
-                    block_temperatures: ct,
-                    ..
-                },
-                SweepOutcome::Converged {
-                    block_temperatures: wt,
-                    ..
-                },
-            ) => Some(
-                ct.iter()
-                    .zip(wt)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max),
-            ),
-            _ => None,
-        })
-        .fold(0.0f64, f64::max);
 
     // --- envelope bisection vs the exhaustive oracle ----------------------
     let fiber_grid = grid(vec![LO], vec![0.5, 1.0], vec![300.0, 330.0]);
@@ -162,7 +88,8 @@ fn bench(quick: bool) -> i32 {
         hi: HI,
         tolerance: cfg.tolerance,
     };
-    let envelope_engine = engine(false);
+    let envelope_engine = engine();
+    let model = envelope_engine.uniform_tech_power(DYNAMIC_W, LEAKAGE_W);
     let t0 = Instant::now();
     let envelope = envelope_engine
         .map_envelope(&fiber_grid, &model, &spec, RunOptions::new())
@@ -186,7 +113,7 @@ fn bench(quick: bool) -> i32 {
             vec![fiber.scenario.activity],
             vec![fiber.scenario.ambient_k],
         );
-        let oracle = envelope_engine.run(&march_grid, &model);
+        let oracle = envelope_engine.sweep(&march_grid, &model, RunOptions::new());
         marched_fibers += 1;
         let crossing = oracle
             .outcomes
@@ -215,12 +142,6 @@ fn bench(quick: bool) -> i32 {
 
     // --- transcript -------------------------------------------------------
     let mut out = Table::new(["measurement", "optimized", "oracle", "ratio"]);
-    out.row([
-        "warm vs cold Picard iterations".into(),
-        warm_iterations.to_string(),
-        cold_iterations.to_string(),
-        format!("{warm_iteration_ratio:.3}"),
-    ]);
     out.row([
         "bisection vs exhaustive solves".into(),
         envelope.solves.to_string(),
@@ -252,11 +173,6 @@ fn bench(quick: bool) -> i32 {
     json.string("bench", "envelope")
         .string("mode", if quick { "quick" } else { "full" })
         .integer("threads", ptherm_par::default_threads() as u64)
-        .integer("warm_grid_scenarios", warm_grid.len() as u64)
-        .integer("warm_total_iterations", warm_iterations as u64)
-        .integer("cold_total_iterations", cold_iterations as u64)
-        .number("warm_iteration_ratio", warm_iteration_ratio)
-        .number("max_warm_temp_gap_k", max_warm_gap_k)
         .integer("envelope_fibers", envelope.len() as u64)
         .integer("bracketed_fibers", envelope.bracketed_count() as u64)
         .integer("envelope_solves", envelope.solves as u64)
@@ -264,8 +180,6 @@ fn bench(quick: bool) -> i32 {
         .number("bisection_solve_ratio", bisection_solve_ratio)
         .integer("boundary_disagreements", disagreements as u64)
         .number("tolerance", cfg.tolerance)
-        .number("cold_wall_s", cold_wall_s)
-        .number("warm_wall_s", warm_wall_s)
         .number("envelope_wall_s", envelope_wall_s)
         .number("exhaustive_wall_s", exhaustive_wall_s);
     let default_path = if quick {
@@ -281,27 +195,6 @@ fn bench(quick: bool) -> i32 {
 
     let checks = vec![
         json.finiteness_check(),
-        ShapeCheck::new(
-            "the warm-vs-cold grid fully converges on both sides",
-            cold.converged_count() == warm_grid.len() && warm.converged_count() == warm_grid.len(),
-            format!(
-                "cold {}/{}, warm {}/{}",
-                cold.converged_count(),
-                warm_grid.len(),
-                warm.converged_count(),
-                warm_grid.len()
-            ),
-        ),
-        ShapeCheck::new(
-            "warm chaining reduces total Picard iterations",
-            warm_iteration_ratio < 1.0,
-            format!("{warm_iteration_ratio:.3}x"),
-        ),
-        ShapeCheck::new(
-            "warm and cold fixed points agree to 1e-9 K",
-            max_warm_gap_k <= 1e-9,
-            format!("max gap {max_warm_gap_k:.2e} K"),
-        ),
         ShapeCheck::new(
             "every fiber brackets its boundary",
             envelope.bracketed_count() == envelope.len(),

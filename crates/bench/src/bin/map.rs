@@ -19,7 +19,7 @@
 //! `benchcheck` against `ci/bench_bounds.quick.json`.
 
 use ptherm_bench::{header, heatmap, report, JsonObject, ShapeCheck, Table};
-use ptherm_core::cosim::{ScenarioGrid, SweepEngine, ThermalOperator};
+use ptherm_core::cosim::{RunOptions, ScenarioGrid, SweepEngine, ThermalOperator};
 use ptherm_core::thermal::map::{MapOperator, MapWorkspace};
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_tech::Technology;
@@ -117,7 +117,13 @@ fn main() {
         .vdd_scales(vec![0.95, 1.0, 1.05])
         .activities(vec![0.5, 1.0]);
     let model = engine.uniform_tech_power(0.3, 0.03).prepared_for(&grid);
-    let map_report = engine.run_map_with(&grid, &model, &map_op);
+    let map_report = engine.map(
+        &grid,
+        &model,
+        cfg.grid_nx,
+        cfg.grid_ny,
+        RunOptions::new().operator(&map_op),
+    );
     let converged = map_report.converged_count();
     let map_peak_k = map_report.max_map_temperature().unwrap_or(f64::NAN);
     // The map report carries each scenario's block-level outcome, so the

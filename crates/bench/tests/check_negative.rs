@@ -143,53 +143,49 @@ fn a_slow_or_leaky_chaos_run_fails_the_faults_bounds() {
 }
 
 /// The scenario-space gate mixes a min bound (every fiber bracketed)
-/// with max bounds (warm ratio, solve ratio, agreement): a warm start
-/// that stops helping, a bisection that degenerates toward the
-/// exhaustive march, or a single boundary disagreement must each fail
-/// its own bound with the measured value.
+/// with max bounds (solve ratio, agreement): a lost bracket, a
+/// bisection that degenerates toward the exhaustive march, or a single
+/// boundary disagreement must each fail its own bound with the
+/// measured value.
 #[test]
 fn a_regressed_envelope_run_fails_the_scenario_space_bounds() {
     let bounds = r#"[
       {"file": "BENCH_envelope.json",
        "min": {"bracketed_fibers": 4},
-       "max": {"warm_iteration_ratio": 0.9,
-               "bisection_solve_ratio": 0.25,
+       "max": {"bisection_solve_ratio": 0.25,
                "boundary_disagreements": 0}}
     ]"#;
     let specs = parse_bounds(bounds).unwrap();
-    let artifact = |warm: &str, solves: &str, disagreements: &str| {
+    let artifact = |bracketed: &str, solves: &str, disagreements: &str| {
         format!(
-            r#"{{"bench": "envelope", "bracketed_fibers": 4,
-                 "warm_iteration_ratio": {warm},
+            r#"{{"bench": "envelope", "bracketed_fibers": {bracketed},
                  "bisection_solve_ratio": {solves},
                  "boundary_disagreements": {disagreements}}}"#
         )
     };
     // A healthy run clears every bound.
-    assert!(
-        check_artifact(&specs[0], Some(&artifact("0.87", "0.07", "0")))
-            .iter()
-            .all(|c| c.pass)
-    );
-    // Warm chaining regressed to no-better-than-cold: exactly the
-    // iteration-ratio ceiling fails, naming the measurement.
-    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("1.0", "0.07", "0")))
+    assert!(check_artifact(&specs[0], Some(&artifact("4", "0.07", "0")))
+        .iter()
+        .all(|c| c.pass));
+    // A fiber that no longer brackets its boundary: exactly the min
+    // bound fails, naming the measurement.
+    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("3", "0.07", "0")))
         .into_iter()
         .filter(|c| !c.pass)
         .collect();
-    assert_eq!(failed.len(), 1, "only the warm ratio should fail");
+    assert_eq!(failed.len(), 1, "only the bracket count should fail");
     assert!(
-        failed[0].claim.contains("warm_iteration_ratio"),
+        failed[0].claim.contains("bracketed_fibers"),
         "{}",
         failed[0].claim
     );
     assert!(
-        failed[0].detail.contains("measured 1e0"),
+        failed[0].detail.contains("measured 3"),
         "{}",
         failed[0].detail
     );
     // Bisection degenerated past the 25% solve budget.
-    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("0.87", "0.4", "0")))
+    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("4", "0.4", "0")))
         .into_iter()
         .filter(|c| !c.pass)
         .collect();
@@ -200,7 +196,7 @@ fn a_regressed_envelope_run_fails_the_scenario_space_bounds() {
         failed[0].claim
     );
     // One fiber disagreeing with the exhaustive oracle breaks the gate.
-    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("0.87", "0.07", "1")))
+    let failed: Vec<_> = check_artifact(&specs[0], Some(&artifact("4", "0.07", "1")))
         .into_iter()
         .filter(|c| !c.pass)
         .collect();

@@ -305,9 +305,9 @@ impl<'a> BatchedSolver<'a> {
     /// parallel sweep runs one `drive` against a shared atomic source.
     ///
     /// A `None` from `source` is not final: the source is re-polled on
-    /// every later iteration with a free lane, so a warm-start chain
-    /// may withhold a successor until its predecessor retires through
-    /// the sink. The drive ends when `source` returns `None` while no
+    /// every later iteration with a free lane, so a source may withhold
+    /// a scenario until an earlier one retires through the sink. The
+    /// drive ends when `source` returns `None` while no
     /// lane is in flight.
     pub fn drive<M: BatchPowerModel + ?Sized>(
         &self,
@@ -380,9 +380,9 @@ pub(crate) fn drive_picard<M: BatchPowerModel + ?Sized>(
             return;
         }
         // Refill every free lane. A `None` only ends *this* refill
-        // round, not the drive: warm-start chains hold a successor
-        // back until its predecessor retires, so the source is
-        // re-polled each iteration as long as anything is in flight.
+        // round, not the drive: a source may hold a scenario back until
+        // an earlier one retires, so it is re-polled each iteration as
+        // long as anything is in flight.
         for lane in 0..lanes {
             if ws.alive[lane] {
                 continue;
@@ -899,9 +899,9 @@ mod tests {
 
     #[test]
     fn a_chained_source_is_repolled_after_returning_none() {
-        // A warm-chain source withholds scenario 1 until scenario 0 has
-        // retired; the drive must keep polling instead of latching shut
-        // on the first None.
+        // The source withholds scenario 1 until scenario 0 has retired;
+        // the drive must keep polling instead of latching shut on the
+        // first None.
         let s = solver();
         let op = s.operator();
         let f = |_id: usize, _b: usize, _t: f64| 0.2;

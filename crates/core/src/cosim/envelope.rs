@@ -24,9 +24,7 @@
 //! [`FiberBoundary::Indeterminate`].
 
 use crate::cosim::batch::FnBatchPower;
-use crate::cosim::sweep::{
-    Scenario, ScenarioGrid, ScenarioPowerModel, SweepEngine, SweepOutcome, WarmMode,
-};
+use crate::cosim::sweep::{Scenario, ScenarioGrid, ScenarioPowerModel, SweepEngine, SweepOutcome};
 use crate::cosim::RunOptions;
 use crate::cosim::ThermalOperator;
 use std::fmt;
@@ -252,10 +250,9 @@ impl SweepEngine {
     /// axis are ignored; a grid without an explicit ambient axis
     /// contributes the floorplan sink temperature, matching
     /// [`Self::sweep`]). `opts` composes the usual per-call knobs;
-    /// probes run cold (`opts.warm_start` is ignored — each probe's
-    /// neighbours in scenario space are other fibers' probes, not its
-    /// own). A fired [`CancelToken`](ptherm_par::CancelToken) leaves
-    /// every unresolved fiber [`FiberBoundary::Indeterminate`].
+    /// every probe starts cold at its ambient. A fired
+    /// [`CancelToken`](ptherm_par::CancelToken) leaves every unresolved
+    /// fiber [`FiberBoundary::Indeterminate`].
     ///
     /// # Errors
     ///
@@ -495,8 +492,7 @@ impl SweepEngine {
             },
             opts.cancel,
             opts.operator,
-            opts.backend,
-            WarmMode::Cold,
+            None,
         );
         report.outcomes
     }
@@ -599,9 +595,10 @@ mod tests {
         let values: Vec<f64> = (0..=steps)
             .map(|i| lo + (hi - lo) * i as f64 / steps as f64)
             .collect();
-        let scan = engine.run(
+        let scan = engine.sweep(
             &ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(values.clone()),
             &power,
+            RunOptions::new(),
         );
         let last_converged = values
             .iter()

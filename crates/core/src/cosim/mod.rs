@@ -33,7 +33,7 @@
 //! structurally identical, so [`BatchedSolver`] advances a whole batch
 //! of scenarios per Picard step — one `n×n · n×B` GEMM instead of `B`
 //! mat-vecs, batched Eq. 13 exponentials, and lane refill as scenarios
-//! resolve. [`SweepEngine::run`] shards a scenario grid across worker
+//! resolve. [`SweepEngine::sweep`] shards a scenario grid across worker
 //! threads on that hot path; [`SweepEngine::run_per_scenario`] keeps the
 //! one-at-a-time path as the exact oracle. See `docs/PERFORMANCE.md`.
 //!

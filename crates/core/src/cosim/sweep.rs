@@ -10,7 +10,7 @@
 //!    every scenario (and every thread),
 //! 2. each scenario solve is independent — worker threads pull scenario
 //!    indices from one shared cursor, and
-//! 3. the per-iteration work is **batchable** — [`SweepEngine::run`]
+//! 3. the per-iteration work is **batchable** — [`SweepEngine::sweep`]
 //!    advances [`SweepEngine::batch_lanes`] scenarios per Picard step
 //!    through the GEMM-batched [`BatchedSolver`], refilling lanes as
 //!    scenarios resolve, with the power law's exponentials evaluated in
@@ -28,7 +28,7 @@
 //! # Example: a Vdd × activity grid on the paper floorplan
 //!
 //! ```
-//! use ptherm_core::cosim::sweep::{ScenarioGrid, SweepEngine};
+//! use ptherm_core::cosim::sweep::{RunOptions, ScenarioGrid, SweepEngine};
 //! use ptherm_floorplan::Floorplan;
 //! use ptherm_tech::Technology;
 //!
@@ -38,7 +38,7 @@
 //!     .activities(vec![0.5, 1.0])
 //!     .ambients_k(vec![300.0, 350.0]);
 //! let model = engine.uniform_tech_power(0.25, 0.02);
-//! let report = engine.run(&grid, &model);
+//! let report = engine.sweep(&grid, &model, RunOptions::new());
 //! assert_eq!(report.len(), 12);
 //! assert!(report.converged_count() > 0);
 //! ```
@@ -59,7 +59,6 @@ use ptherm_floorplan::Floorplan;
 use ptherm_math::{expv, MultiVec};
 use ptherm_par::CancelToken;
 use ptherm_tech::{Polarity, Technology};
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -163,27 +162,6 @@ impl ScenarioGrid {
         self.ambients_k.as_ref().map_or(1, Vec::len)
     }
 
-    /// Length of the innermost non-trivial axis — the warm-start chain
-    /// width. Scenarios enumerate with the Vdd axis innermost, so ids
-    /// `[k·L, (k+1)·L)` form one contiguous fiber varying only that
-    /// axis (every axis inside it has a single point, so the fiber's
-    /// stride is 1): exactly the nearest-neighbour chains
-    /// [`SweepEngine::sweep`] seeds along under warm starts. 1 when
-    /// every axis is a single point (nothing to chain).
-    pub(crate) fn warm_chain_len(&self) -> usize {
-        for len in [
-            self.vdd_scales.len(),
-            self.activities.len(),
-            self.ambient_axis_len(),
-            self.technologies.len(),
-        ] {
-            if len > 1 {
-                return len;
-            }
-        }
-        1
-    }
-
     /// Number of scenarios in the grid.
     pub fn len(&self) -> usize {
         self.technologies.len()
@@ -200,7 +178,7 @@ impl ScenarioGrid {
     /// The scenario at position `index` of the enumeration order —
     /// random access by mixed-radix decode, no materialization.
     /// `default_ambient_k` fills the ambient axis when none was set —
-    /// [`SweepEngine::run`] passes the floorplan's sink temperature.
+    /// [`SweepEngine::sweep`] passes the floorplan's sink temperature.
     ///
     /// # Panics
     ///
@@ -869,7 +847,7 @@ impl fmt::Display for SweepReport {
 #[derive(Debug, Clone)]
 pub struct MapOutcome {
     /// Block-level fixed-point outcome (identical to what
-    /// [`SweepEngine::run`] would report for this scenario).
+    /// [`SweepEngine::sweep`] would report for this scenario).
     pub outcome: SweepOutcome,
     /// Absolute tile temperatures (row-major `nx × ny`, K); present
     /// exactly when the scenario converged.
@@ -940,7 +918,7 @@ impl fmt::Display for MapReport {
 
 /// Batched, parallel sweep driver for one floorplan.
 ///
-/// Construction precomputes the [`ThermalOperator`]; [`SweepEngine::run`]
+/// Construction precomputes the [`ThermalOperator`]; [`SweepEngine::sweep`]
 /// then shards the scenario stream across worker threads, each advancing
 /// a [`BatchedSolver`] batch of [`Self::batch_lanes`] scenarios per
 /// Picard step and refilling lanes from a shared cursor as scenarios
@@ -961,7 +939,6 @@ pub struct SweepEngine {
     spectral_tolerance: f64,
     threads: usize,
     batch_lanes: usize,
-    warm_start: bool,
 }
 
 /// Default batch width: wide enough to amortize every influence-matrix
@@ -992,7 +969,7 @@ pub enum SweepBackend {
     /// and the correctness oracle.
     Dense,
     /// The `O(N log N)` scatter → FFT → sample path. Requires a
-    /// grid-coincident floorplan; [`SweepEngine::run`] panics otherwise
+    /// grid-coincident floorplan; [`SweepEngine::sweep`] panics otherwise
     /// (the fleet layer pre-validates and reports the typed
     /// [`SpectralGridError`] instead).
     Spectral,
@@ -1016,17 +993,12 @@ impl fmt::Display for SweepBackend {
     }
 }
 
-/// Per-call options for the unified [`SweepEngine`] entry points
-/// ([`SweepEngine::sweep`], [`SweepEngine::transient`],
-/// [`SweepEngine::map`]).
-///
-/// Historically every workload grew its own method ladder (`run` /
-/// `run_with` / `run_with_cancel` × steady/transient/map) and each new
-/// orthogonal knob doubled it. `RunOptions` collapses the ladder: one
-/// entry point per workload, with cancellation, an already-built
-/// operator (the cache-amortized path) and a backend override all
-/// optional and composable. The legacy names survive as one-line
-/// wrappers over these entry points.
+/// Per-call options for the [`SweepEngine`] entry points
+/// ([`SweepEngine::sweep`], [`SweepEngine::sweep_seeded`],
+/// [`SweepEngine::map`], [`SweepEngine::transient`] and
+/// [`SweepEngine::map_envelope`]): one entry point per workload, with
+/// cancellation and an already-built operator (the cache-amortized
+/// path) both optional and composable.
 ///
 /// `Op` is the workload's operator type: [`Arc<ThermalOperator>`] for
 /// steady sweeps, [`TransientOperator`] for transients,
@@ -1035,18 +1007,12 @@ impl fmt::Display for SweepBackend {
 /// # Example
 ///
 /// ```no_run
-/// # use ptherm_core::cosim::{RunOptions, SweepBackend, SweepEngine, ScenarioGrid};
+/// # use ptherm_core::cosim::{RunOptions, SweepEngine, ScenarioGrid};
 /// # use ptherm_par::CancelToken;
 /// # fn demo(engine: &SweepEngine, grid: &ScenarioGrid) {
 /// let power = engine.uniform_tech_power(40.0, 8.0);
 /// let token = CancelToken::new();
-/// let report = engine.sweep(
-///     grid,
-///     &power,
-///     RunOptions::new()
-///         .cancel(&token)
-///         .backend(SweepBackend::Dense),
-/// );
+/// let report = engine.sweep(grid, &power, RunOptions::new().cancel(&token));
 /// # let _ = report;
 /// # }
 /// ```
@@ -1061,17 +1027,6 @@ pub struct RunOptions<'a, Op> {
     /// bug). `None` builds (or reuses the engine's lazily built)
     /// operator.
     pub operator: Option<&'a Op>,
-    /// Backend override for this call only (steady sweeps and the
-    /// Picard phase of map renders; transients always step through the
-    /// dense-factored propagator). `None` uses the engine's configured
-    /// backend.
-    pub backend: Option<SweepBackend>,
-    /// Warm-start override for this call only (steady sweeps; ignored
-    /// by transients and map renders). `Some(true)` chains scenario
-    /// seeds along the grid's innermost axis (see
-    /// [`SweepEngine::warm_start`]), `Some(false)` forces cold starts,
-    /// `None` uses the engine's configured mode.
-    pub warm_start: Option<bool>,
 }
 
 impl<Op> Default for RunOptions<'_, Op> {
@@ -1079,8 +1034,6 @@ impl<Op> Default for RunOptions<'_, Op> {
         RunOptions {
             cancel: None,
             operator: None,
-            backend: None,
-            warm_start: None,
         }
     }
 }
@@ -1100,15 +1053,12 @@ impl<Op> fmt::Debug for RunOptions<'_, Op> {
         f.debug_struct("RunOptions")
             .field("cancel", &self.cancel.is_some())
             .field("operator", &self.operator.is_some())
-            .field("backend", &self.backend)
-            .field("warm_start", &self.warm_start)
             .finish()
     }
 }
 
 impl<'a, Op> RunOptions<'a, Op> {
-    /// All-defaults options: no cancellation, self-built operator,
-    /// engine-configured backend.
+    /// All-defaults options: no cancellation, self-built operator.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1126,55 +1076,6 @@ impl<'a, Op> RunOptions<'a, Op> {
         self.operator = Some(op);
         self
     }
-
-    /// Overrides the backend for this call (see
-    /// [`RunOptions::backend`]).
-    #[must_use]
-    pub fn backend(mut self, backend: SweepBackend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Overrides warm-start chaining for this call (see
-    /// [`RunOptions::warm_start`]).
-    #[must_use]
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = Some(warm);
-        self
-    }
-}
-
-/// How `run_batched` seeds each lane's initial temperature vector.
-#[derive(Clone, Copy)]
-pub(crate) enum WarmMode<'s> {
-    /// Every scenario starts at its ambient — the historical behaviour,
-    /// byte-for-byte.
-    Cold,
-    /// Scenarios are claimed in contiguous chains of `chain_len`
-    /// (aligned at `id = k·chain_len`), each chain owned by one worker
-    /// and walked in index order with at most one scenario in flight;
-    /// each link seeds from the most recently converged predecessor in
-    /// its chain. A `chain_len` of 1 degenerates to [`WarmMode::Cold`].
-    Chained { chain_len: usize },
-    /// Per-scenario explicit seeds (`None` = cold) — the delta re-solve
-    /// path ([`SweepEngine::sweep_seeded`]).
-    Seeded(&'s (dyn Fn(usize) -> Option<Vec<f64>> + Sync)),
-}
-
-/// One in-progress warm-start chain owned by a worker (see
-/// [`WarmMode::Chained`]).
-struct ActiveChain {
-    /// Next scenario id this chain will claim.
-    next: usize,
-    /// One past the chain's last scenario id.
-    end: usize,
-    /// Fixed point of the most recently converged link — the next
-    /// link's seed. `None` until a link converges (head starts cold;
-    /// non-converged links keep the last good seed).
-    seed: Option<Vec<f64>>,
-    /// Whether a claimed scenario is still resolving in a lane; the
-    /// chain yields its next link only after the sink retires it.
-    in_flight: bool,
 }
 
 impl SweepEngine {
@@ -1196,7 +1097,6 @@ impl SweepEngine {
             spectral_tolerance: DEFAULT_REFINEMENT_TOLERANCE,
             threads: ptherm_par::default_threads(),
             batch_lanes: DEFAULT_BATCH_LANES,
-            warm_start: false,
         }
     }
 
@@ -1302,27 +1202,6 @@ impl SweepEngine {
         self
     }
 
-    /// Enables warm-started sweeps (default off). When on,
-    /// [`Self::sweep`] partitions the grid into chains along its
-    /// innermost non-trivial axis and seeds each scenario's initial
-    /// temperature vector from the most recently **converged**
-    /// predecessor in its chain (non-converged links keep the last good
-    /// seed; the chain head starts cold at ambient). Seeds are clamped
-    /// to the lane ambient per block, so the warm orbit starts inside
-    /// `[ambient, T*]` and reaches the same fixed point as a cold run —
-    /// `tests/warm_start_validation.rs` pins agreement and
-    /// never-more-iterations on converged lanes.
-    ///
-    /// Chain identity depends only on the scenario index, and every
-    /// chain is driven by exactly one worker in index order, so warm
-    /// results stay bitwise invariant across thread counts and batch
-    /// widths — the same contract cold sweeps honour.
-    #[must_use]
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
-        self
-    }
-
     /// Reconfigures the solver, discarding any built operators (image
     /// orders may have changed; they rebuild lazily on next use).
     #[must_use]
@@ -1376,18 +1255,12 @@ impl SweepEngine {
         Ok(self.spectral.get_or_init(|| built))
     }
 
-    /// The backend [`Self::run`] will actually use: `Auto` resolves to
+    /// The backend [`Self::sweep`] will actually use: `Auto` resolves to
     /// spectral for grid-coincident floorplans of at least
     /// [`SPECTRAL_AUTO_THRESHOLD`] blocks, dense otherwise; explicit
     /// choices pass through.
     pub fn resolved_backend(&self) -> SweepBackend {
-        self.resolve_backend(self.backend)
-    }
-
-    /// [`Self::resolved_backend`] for an arbitrary request — what a
-    /// per-call [`RunOptions::backend`] override resolves to.
-    fn resolve_backend(&self, requested: SweepBackend) -> SweepBackend {
-        match requested {
+        match self.backend {
             SweepBackend::Auto => {
                 let plan = self.solver.floorplan();
                 if plan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD
@@ -1435,53 +1308,23 @@ impl SweepEngine {
     /// * `operator` — an already-built dense [`ThermalOperator`]
     ///   handle to replay (the cache-amortized path; fingerprint
     ///   checked). Ignored when the resolved backend is spectral.
-    /// * `backend` — per-call override of the engine's configured
-    ///   backend.
+    ///
+    /// Every scenario starts cold at its ambient; [`Self::sweep_seeded`]
+    /// starts them from explicit seeds instead.
     ///
     /// # Panics
     ///
-    /// Panics on an operator fingerprint mismatch, or when the
-    /// (possibly overridden) backend is explicitly
-    /// [`SweepBackend::Spectral`] on a non-grid-coincident floorplan.
-    /// Callers that need a typed failure (the fleet) pre-validate with
-    /// [`infer_grid`].
+    /// Panics on an operator fingerprint mismatch, or when the backend
+    /// is explicitly [`SweepBackend::Spectral`] on a
+    /// non-grid-coincident floorplan. Callers that need a typed failure
+    /// (the fleet) pre-validate with [`infer_grid`].
     pub fn sweep<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
         model: &M,
         opts: RunOptions<'_, Arc<ThermalOperator>>,
     ) -> SweepReport {
-        if let Some(op) = opts.operator {
-            assert_eq!(
-                op.fingerprint(),
-                crate::cosim::operator_fingerprint(
-                    self.solver.floorplan(),
-                    self.solver.lateral_order,
-                    self.solver.z_order
-                ),
-                "operator/solver fingerprint mismatch"
-            );
-        }
-        // The floorplan's sink, not the operator's (same value by the
-        // fingerprint contract): reading it must not force a dense
-        // build under the spectral backend.
-        let sink_k = self.solver.floorplan().geometry().sink_temperature;
-        let total = grid.len();
-        let chain_len = grid.warm_chain_len();
-        let warm = if opts.warm_start.unwrap_or(self.warm_start) && chain_len > 1 {
-            WarmMode::Chained { chain_len }
-        } else {
-            WarmMode::Cold
-        };
-        self.run_batched(
-            total,
-            |id| grid.scenario(id, sink_k).ambient_k,
-            || model.batched(grid, sink_k, self.batch_lanes),
-            opts.cancel,
-            opts.operator,
-            opts.backend,
-            warm,
-        )
+        self.sweep_seeded(grid, model, &|_| None, opts)
     }
 
     /// [`Self::sweep`] with per-scenario initial-temperature seeds — the
@@ -1501,8 +1344,11 @@ impl SweepEngine {
     ///
     /// Seeding is per scenario index — independent of thread count and
     /// batch width — so results carry the same bitwise-invariance
-    /// contract as [`Self::sweep`]. `opts.warm_start` is ignored
-    /// (explicit seeds replace chained ordering).
+    /// contract as [`Self::sweep`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::sweep`].
     pub fn sweep_seeded<M: ScenarioPowerModel>(
         &self,
         grid: &ScenarioGrid,
@@ -1521,40 +1367,17 @@ impl SweepEngine {
                 "operator/solver fingerprint mismatch"
             );
         }
+        // The floorplan's sink, not the operator's (same value by the
+        // fingerprint contract): reading it must not force a dense
+        // build under the spectral backend.
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
-        let total = grid.len();
         self.run_batched(
-            total,
+            grid.len(),
             |id| grid.scenario(id, sink_k).ambient_k,
             || model.batched(grid, sink_k, self.batch_lanes),
             opts.cancel,
             opts.operator,
-            opts.backend,
-            WarmMode::Seeded(seed_of),
-        )
-    }
-
-    /// [`Self::sweep`] with default [`RunOptions`] — the legacy name,
-    /// kept as a thin wrapper.
-    pub fn run<M: ScenarioPowerModel>(&self, grid: &ScenarioGrid, model: &M) -> SweepReport {
-        self.sweep(grid, model, RunOptions::new())
-    }
-
-    /// [`Self::sweep`] with only a cancellation token — the legacy
-    /// name, kept as a thin wrapper.
-    pub fn run_with_cancel<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cancel: Option<&CancelToken>,
-    ) -> SweepReport {
-        self.sweep(
-            grid,
-            model,
-            RunOptions {
-                cancel,
-                ..RunOptions::new()
-            },
+            Some(seed_of),
         )
     }
 
@@ -1578,16 +1401,15 @@ impl SweepEngine {
             None,
             None,
             None,
-            WarmMode::Cold,
         )
     }
 
     /// Builds the spatial [`MapOperator`] this engine's floorplan and
     /// image orders imply for an `nx × ny` tile grid — the kernel
-    /// assembly [`Self::run_map`] would perform internally, exposed so
-    /// a fleet-level cache can build it once per
+    /// assembly [`Self::map`] would perform internally, exposed so a
+    /// fleet-level cache can build it once per
     /// [`map_operator_fingerprint`] and replay it through
-    /// [`Self::run_map_with`].
+    /// [`RunOptions::operator`].
     pub fn map_operator(&self, nx: usize, ny: usize) -> MapOperator {
         MapOperator::with_image_orders_threaded(
             self.solver.floorplan(),
@@ -1626,7 +1448,6 @@ impl SweepEngine {
     ///   [`Self::map_operator`]); its grid must be `nx × ny`. Results
     ///   are bit-identical to the self-building path for an operator
     ///   built from the same inputs.
-    /// * `backend` — per-call override for the Picard sweep phase.
     ///
     /// # Panics
     ///
@@ -1650,69 +1471,10 @@ impl SweepEngine {
                     (nx, ny),
                     "map operator grid mismatch"
                 );
-                self.map_inner(grid, model, map_op, opts.cancel, opts.backend)
+                self.map_inner(grid, model, map_op, opts.cancel)
             }
-            None => self.map_inner(
-                grid,
-                model,
-                &self.map_operator(nx, ny),
-                opts.cancel,
-                opts.backend,
-            ),
+            None => self.map_inner(grid, model, &self.map_operator(nx, ny), opts.cancel),
         }
-    }
-
-    /// [`Self::map`] with default [`RunOptions`] — the legacy name,
-    /// kept as a thin wrapper.
-    pub fn run_map<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        nx: usize,
-        ny: usize,
-    ) -> MapReport {
-        self.map(grid, model, nx, ny, RunOptions::new())
-    }
-
-    /// [`Self::map`] against an already-built operator — the legacy
-    /// name, kept as a thin wrapper over
-    /// `RunOptions::new().operator(map_op)`.
-    pub fn run_map_with<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        map_op: &MapOperator,
-    ) -> MapReport {
-        self.map(
-            grid,
-            model,
-            map_op.nx(),
-            map_op.ny(),
-            RunOptions::new().operator(map_op),
-        )
-    }
-
-    /// [`Self::map`] with an operator and a cancellation token — the
-    /// legacy name, kept as a thin wrapper.
-    pub fn run_map_with_cancel<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        map_op: &MapOperator,
-        cancel: Option<&CancelToken>,
-    ) -> MapReport {
-        self.map(
-            grid,
-            model,
-            map_op.nx(),
-            map_op.ny(),
-            RunOptions {
-                cancel,
-                operator: Some(map_op),
-                backend: None,
-                warm_start: None,
-            },
-        )
     }
 
     /// Shared map driver behind [`Self::map`]: fingerprint-checks the
@@ -1724,7 +1486,6 @@ impl SweepEngine {
         model: &M,
         map_op: &MapOperator,
         cancel: Option<&CancelToken>,
-        backend: Option<SweepBackend>,
     ) -> MapReport {
         assert_eq!(
             map_op.fingerprint(),
@@ -1743,8 +1504,6 @@ impl SweepEngine {
             RunOptions {
                 cancel,
                 operator: None,
-                backend,
-                warm_start: None,
             },
         );
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
@@ -1790,16 +1549,16 @@ impl SweepEngine {
 
     /// Shared batched driver: `total` scenario ids, an ambient lookup and
     /// a per-worker batched-model factory. Dispatches to the resolved
-    /// backend (honouring a per-call override and a pre-built dense
-    /// operator from [`RunOptions`]); both paths run the same Picard
-    /// skeleton.
+    /// backend (honouring a pre-built dense operator from
+    /// [`RunOptions`]); both paths run the same Picard skeleton. Each
+    /// lane starts cold at its ambient, or from `seed_of(id)` when
+    /// `seed_of` is given and yields a seed.
     ///
     /// # Panics
     ///
     /// Panics when the backend is explicitly [`SweepBackend::Spectral`]
     /// and the floorplan is not grid-coincident. Callers that need a
     /// typed failure (the fleet) pre-validate with [`infer_grid`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_batched<'m>(
         &self,
         total: usize,
@@ -1807,11 +1566,9 @@ impl SweepEngine {
         make_model: impl Fn() -> Box<dyn BatchPowerModel + 'm> + Sync,
         cancel: Option<&CancelToken>,
         dense_override: Option<&Arc<ThermalOperator>>,
-        backend_override: Option<SweepBackend>,
-        warm: WarmMode<'_>,
+        seed_of: Option<&(dyn Fn(usize) -> Option<Vec<f64>> + Sync)>,
     ) -> SweepReport {
-        let requested = backend_override.unwrap_or(self.backend);
-        let spectral = match self.resolve_backend(requested) {
+        let spectral = match self.resolved_backend() {
             SweepBackend::Spectral => Some(match self.spectral_operator() {
                 Ok(op) => Arc::clone(op),
                 // lint:allow(panic-freedom) — documented `# Panics` contract; callers needing a typed failure (the fleet) pre-validate with `infer_grid`
@@ -1825,98 +1582,20 @@ impl SweepEngine {
             )),
             Some(_) => None,
         };
-        let chain_len = match warm {
-            WarmMode::Chained { chain_len } => chain_len.max(1),
-            _ => 1,
-        };
-        let chain_count = if chain_len > 1 {
-            total.div_ceil(chain_len)
-        } else {
-            0
-        };
         let cursor = AtomicUsize::new(0);
-        let chain_cursor = AtomicUsize::new(0);
         let per_worker = ptherm_par::par_workers(self.threads, |_worker| {
             let mut model = make_model();
             let mut ws = BatchWorkspace::new();
             let mut collected: Vec<(usize, SweepOutcome)> = Vec::new();
-            // Chained-mode bookkeeping: the chains this worker owns.
-            // Shared between the source and sink closures (both run
-            // inside the serial per-worker Picard loop, never
-            // concurrently), hence the RefCell.
-            let chains: RefCell<Vec<ActiveChain>> = RefCell::new(Vec::new());
-            let mut source: Box<dyn FnMut() -> Option<LaneStart> + '_> = match warm {
-                // A chain claims its scenarios in index order, at most
-                // one in flight, seeding each from the most recently
-                // converged predecessor. Claiming whole chains (not
-                // scenarios) from the shared cursor keeps every chain
-                // on one worker, so seeds — and therefore results —
-                // are bitwise independent of the thread count.
-                WarmMode::Chained { .. } if chain_len > 1 => Box::new(|| {
-                    let mut active = chains.borrow_mut();
-                    loop {
-                        if let Some(chain) = active
-                            .iter_mut()
-                            .find(|chain| !chain.in_flight && chain.next < chain.end)
-                        {
-                            let id = chain.next;
-                            chain.next += 1;
-                            chain.in_flight = true;
-                            return Some(match &chain.seed {
-                                Some(seed) => LaneStart::warm(id, ambient_of(id), seed.clone()),
-                                None => LaneStart::cold(id, ambient_of(id)),
-                            });
-                        }
-                        let index = chain_cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= chain_count {
-                            return None;
-                        }
-                        active.push(ActiveChain {
-                            next: index * chain_len,
-                            end: ((index + 1) * chain_len).min(total),
-                            seed: None,
-                            in_flight: false,
-                        });
-                    }
-                }),
-                WarmMode::Seeded(seed_of) => Box::new(|| {
-                    let id = cursor.fetch_add(1, Ordering::Relaxed);
-                    (id < total).then(|| LaneStart {
-                        id,
-                        ambient_k: ambient_of(id),
-                        seed: seed_of(id),
-                    })
-                }),
-                _ => Box::new(|| {
-                    let id = cursor.fetch_add(1, Ordering::Relaxed);
-                    (id < total).then(|| LaneStart::cold(id, ambient_of(id)))
-                }),
+            let mut source = || {
+                let id = cursor.fetch_add(1, Ordering::Relaxed);
+                (id < total).then(|| LaneStart {
+                    id,
+                    ambient_k: ambient_of(id),
+                    seed: seed_of.and_then(|seed_of| seed_of(id)),
+                })
             };
-            let mut sink = |id: usize, outcome: SweepOutcome| {
-                if chain_len > 1 {
-                    let mut active = chains.borrow_mut();
-                    // The retiring scenario's chain is the one whose
-                    // in-flight claim was `id` (its cursor already
-                    // advanced past it).
-                    if let Some(pos) = active
-                        .iter()
-                        .position(|chain| chain.in_flight && chain.next == id + 1)
-                    {
-                        let chain = &mut active[pos];
-                        chain.in_flight = false;
-                        if let SweepOutcome::Converged {
-                            block_temperatures, ..
-                        } = &outcome
-                        {
-                            chain.seed = Some(block_temperatures.clone());
-                        }
-                        if chain.next >= chain.end {
-                            active.swap_remove(pos);
-                        }
-                    }
-                }
-                collected.push((id, outcome));
-            };
+            let mut sink = |id: usize, outcome: SweepOutcome| collected.push((id, outcome));
             match (&spectral, &dense) {
                 (Some(op), _) => SpectralBatchedSolver::new(&self.solver, op).drive(
                     self.batch_lanes,
@@ -1972,10 +1651,10 @@ impl SweepEngine {
     }
 
     /// Builds the implicit transient operator `cfg` implies for this
-    /// engine's floorplan — the factorization [`Self::run_transient`]
-    /// would perform internally, exposed so a fleet-level cache can
-    /// build it once per `(floorplan, capacitances, dt, scheme)`
-    /// fingerprint and replay it through [`Self::run_transient_with`].
+    /// engine's floorplan — the factorization [`Self::transient`] would
+    /// perform internally, exposed so a fleet-level cache can build it
+    /// once per `(floorplan, capacitances, dt, scheme)` fingerprint and
+    /// replay it through [`RunOptions::operator`].
     ///
     /// # Errors
     ///
@@ -2014,8 +1693,9 @@ impl SweepEngine {
     ///   waveform axis and recording policy. Results are bit-identical
     ///   to the self-factoring path for a propagator built from the
     ///   same inputs.
-    /// * `backend` — ignored: transients always step through the
-    ///   propagator factored from the dense operator.
+    ///
+    /// Transients always step through the propagator factored from the
+    /// dense operator, whatever the engine's backend.
     ///
     /// # Errors
     ///
@@ -2041,65 +1721,6 @@ impl SweepEngine {
                 self.transient_inner(grid, model, cfg, &top, opts.cancel)
             }
         }
-    }
-
-    /// [`Self::transient`] with default [`RunOptions`] — the legacy
-    /// name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientError`].
-    pub fn run_transient<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cfg: &TransientConfig,
-    ) -> Result<TransientReport, TransientError> {
-        self.transient(grid, model, cfg, RunOptions::new())
-    }
-
-    /// [`Self::transient`] against an already-factored propagator —
-    /// the legacy name, kept as a thin wrapper over
-    /// `RunOptions::new().operator(top)`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientError`].
-    pub fn run_transient_with<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cfg: &TransientConfig,
-        top: &TransientOperator,
-    ) -> Result<TransientReport, TransientError> {
-        self.transient(grid, model, cfg, RunOptions::new().operator(top))
-    }
-
-    /// [`Self::transient`] with a propagator and a cancellation token —
-    /// the legacy name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransientError`].
-    pub fn run_transient_with_cancel<M: ScenarioPowerModel>(
-        &self,
-        grid: &ScenarioGrid,
-        model: &M,
-        cfg: &TransientConfig,
-        top: &TransientOperator,
-        cancel: Option<&CancelToken>,
-    ) -> Result<TransientReport, TransientError> {
-        self.transient(
-            grid,
-            model,
-            cfg,
-            RunOptions {
-                cancel,
-                operator: Some(top),
-                backend: None,
-                warm_start: None,
-            },
-        )
     }
 
     /// Shared transient driver behind [`Self::transient`]:
@@ -2180,7 +1801,7 @@ impl SweepEngine {
     /// arithmetic through the same implicit operator, each
     /// scenario×waveform integrated on its own
     /// ([`TransientBatchedSolver::solve_single`]), fanned over worker
-    /// threads. Validation baseline for [`Self::run_transient`].
+    /// threads. Validation baseline for [`Self::transient`].
     ///
     /// # Errors
     ///
@@ -2350,7 +1971,7 @@ mod tests {
         let engine = engine().threads(4);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run(&grid, &model);
+        let report = engine.sweep(&grid, &model, RunOptions::new());
         assert_eq!(report.len(), grid.len());
 
         let techs = grid.technologies();
@@ -2393,8 +2014,10 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let narrow = e1.run(&grid, &model);
-        let wide = engine().batch_lanes(128).run(&grid, &model);
+        let narrow = e1.sweep(&grid, &model, RunOptions::new());
+        let wide = engine()
+            .batch_lanes(128)
+            .sweep(&grid, &model, RunOptions::new());
         assert_eq!(narrow.outcomes, wide.outcomes);
     }
 
@@ -2403,7 +2026,7 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05).prepared_for(&grid);
-        let batched = engine.run(&grid, &model);
+        let batched = engine.sweep(&grid, &model, RunOptions::new());
         let oracle = engine.run_per_scenario(&grid, &model);
         assert_eq!(batched.len(), oracle.len());
         for (b, o) in batched.outcomes.iter().zip(&oracle.outcomes) {
@@ -2441,8 +2064,8 @@ mod tests {
         let prepared = plain.clone().prepared_for(&grid);
         // Same nominal_off_current call either way: bitwise-equal sweeps.
         assert_eq!(
-            engine.run(&grid, &plain).outcomes,
-            engine.run(&grid, &prepared).outcomes
+            engine.sweep(&grid, &plain, RunOptions::new()).outcomes,
+            engine.sweep(&grid, &prepared, RunOptions::new()).outcomes
         );
     }
 
@@ -2451,8 +2074,8 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().threads(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let serial = e1.run(&grid, &model);
-        let parallel = engine().threads(8).run(&grid, &model);
+        let serial = e1.sweep(&grid, &model, RunOptions::new());
+        let parallel = engine().threads(8).sweep(&grid, &model, RunOptions::new());
         assert_eq!(serial.outcomes, parallel.outcomes);
     }
 
@@ -2478,7 +2101,7 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run(&grid, &model);
+        let report = engine.sweep(&grid, &model, RunOptions::new());
         let scenarios = grid.scenarios(300.0);
         // Compare matching scenarios differing only in one knob.
         let find = |vdd: f64, act: f64, amb: f64| -> &SweepOutcome {
@@ -2523,7 +2146,7 @@ mod tests {
         let engine = engine();
         let model = engine.uniform_tech_power(0.6, 0.05);
         for grid in [&empty_vdd, &empty_activity, &empty_ambient, &empty_tech] {
-            let batched = engine.run(grid, &model);
+            let batched = engine.sweep(grid, &model, RunOptions::new());
             assert!(batched.is_empty(), "{}", batched);
             let oracle = engine.run_per_scenario(grid, &model);
             assert!(oracle.is_empty());
@@ -2557,7 +2180,9 @@ mod tests {
                 duty: 0.5,
             },
         ]);
-        let batched = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let batched = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let oracle = engine
             .run_transient_per_scenario(&grid, &model, &cfg)
             .expect("valid");
@@ -2582,11 +2207,13 @@ mod tests {
         let e1 = engine().threads(1).batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&e1);
-        let narrow = e1.run_transient(&grid, &model, &cfg).expect("valid");
+        let narrow = e1
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let wide = engine()
             .threads(8)
             .batch_lanes(64)
-            .run_transient(&grid, &model, &cfg)
+            .transient(&grid, &model, &cfg, RunOptions::new())
             .expect("valid");
         assert_eq!(narrow.outcomes, wide.outcomes);
     }
@@ -2600,7 +2227,9 @@ mod tests {
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(vec![0.9, 1.1]);
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&engine);
-        let implicit = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let implicit = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let explicit = engine
             .run_transient_rk4(&grid, &model, &cfg)
             .expect("valid");
@@ -2628,7 +2257,9 @@ mod tests {
                 scales: vec![0.3, 0.3],
             },
         ]);
-        let report = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let report = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         let step_peak = report.outcome(0, 0).peak_temperature().expect("finished");
         let derated_peak = report.outcome(0, 1).peak_temperature().expect("finished");
         assert!(step_peak > derated_peak, "{step_peak} vs {derated_peak}");
@@ -2640,7 +2271,9 @@ mod tests {
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(Vec::new());
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = transient_config(&engine);
-        let report = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let report = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         assert!(report.is_empty());
         assert_eq!(report.max_peak_temperature(), None);
     }
@@ -2652,12 +2285,12 @@ mod tests {
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = TransientConfig::new(0.0, 10);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::BadStep { .. })
         ));
         let cfg = TransientConfig::new(1e-6, 10).capacitances(vec![1.0]);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::DimensionMismatch { .. })
         ));
         // A malformed trace is a typed error at the API boundary, never
@@ -2670,7 +2303,7 @@ mod tests {
             },
         ]);
         assert!(matches!(
-            engine.run_transient(&grid, &model, &cfg),
+            engine.transient(&grid, &model, &cfg, RunOptions::new()),
             Err(TransientError::BadWaveform { index: 1, .. })
         ));
     }
@@ -2680,7 +2313,7 @@ mod tests {
         let fresh = engine();
         let grid = small_grid();
         let model = fresh.uniform_tech_power(0.6, 0.05);
-        let baseline = fresh.run(&grid, &model);
+        let baseline = fresh.sweep(&grid, &model, RunOptions::new());
 
         // Hand the prebuilt operator to a second engine (the fleet-cache
         // construction path): bitwise the same sweep.
@@ -2688,7 +2321,10 @@ mod tests {
             ElectroThermalSolver::new(Floorplan::paper_three_blocks()),
             fresh.shared_operator(),
         );
-        assert_eq!(baseline.outcomes, shared.run(&grid, &model).outcomes);
+        assert_eq!(
+            baseline.outcomes,
+            shared.sweep(&grid, &model, RunOptions::new()).outcomes
+        );
     }
 
     #[test]
@@ -2720,9 +2356,11 @@ mod tests {
             .waveforms(vec![DriveWaveform::Step, DriveWaveform::paper_gating()]);
         let top = engine.transient_operator(&cfg).expect("valid");
         let cached = engine
-            .run_transient_with(&grid, &model, &cfg, &top)
+            .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("valid");
-        let fresh = engine.run_transient(&grid, &model, &cfg).expect("valid");
+        let fresh = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
         assert_eq!(cached.outcomes, fresh.outcomes);
     }
 
@@ -2737,7 +2375,7 @@ mod tests {
         // Same floorplan, different dt: the factored propagator no
         // longer matches the config.
         let other = TransientConfig::new(cfg.dt * 2.0, cfg.steps);
-        let _ = engine.run_transient_with(&grid, &model, &other, &top);
+        let _ = engine.transient(&grid, &model, &other, RunOptions::new().operator(&top));
     }
 
     #[test]
@@ -2754,11 +2392,11 @@ mod tests {
         let engine = engine();
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run_map(&grid, &model, 16, 16);
+        let report = engine.map(&grid, &model, 16, 16, RunOptions::new());
         assert_eq!(report.len(), grid.len());
         assert_eq!((report.nx, report.ny), (16, 16));
         // Block-level outcomes are exactly the plain sweep's outcomes.
-        let sweep = engine.run(&grid, &model);
+        let sweep = engine.sweep(&grid, &model, RunOptions::new());
         for (m, s) in report.outcomes.iter().zip(&sweep.outcomes) {
             assert_eq!(&m.outcome, s);
             assert_eq!(m.map_k.is_some(), s.is_converged());
@@ -2782,12 +2420,15 @@ mod tests {
         let grid = small_grid();
         let e1 = engine().threads(1).batch_lanes(1);
         let model = e1.uniform_tech_power(0.6, 0.05);
-        let narrow = e1.run_map(&grid, &model, 12, 12);
+        let narrow = e1.map(&grid, &model, 12, 12, RunOptions::new());
         for (threads, lanes) in [(2, 64), (8, 128)] {
-            let wide = engine()
-                .threads(threads)
-                .batch_lanes(lanes)
-                .run_map(&grid, &model, 12, 12);
+            let wide = engine().threads(threads).batch_lanes(lanes).map(
+                &grid,
+                &model,
+                12,
+                12,
+                RunOptions::new(),
+            );
             for (a, b) in narrow.outcomes.iter().zip(&wide.outcomes) {
                 assert_eq!(a.outcome, b.outcome, "threads {threads} lanes {lanes}");
                 assert_eq!(a.map_k, b.map_k, "threads {threads} lanes {lanes}");
@@ -2801,8 +2442,8 @@ mod tests {
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
         let map_op = engine.map_operator(10, 8);
-        let cached = engine.run_map_with(&grid, &model, &map_op);
-        let fresh = engine.run_map(&grid, &model, 10, 8);
+        let cached = engine.map(&grid, &model, 10, 8, RunOptions::new().operator(&map_op));
+        let fresh = engine.map(&grid, &model, 10, 8, RunOptions::new());
         for (a, b) in cached.outcomes.iter().zip(&fresh.outcomes) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.map_k, b.map_k);
@@ -2826,7 +2467,13 @@ mod tests {
         let map_op = donor.map_operator(8, 8);
         let engine = engine();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let _ = engine.run_map_with(&small_grid(), &model, &map_op);
+        let _ = engine.map(
+            &small_grid(),
+            &model,
+            8,
+            8,
+            RunOptions::new().operator(&map_op),
+        );
     }
 
     #[test]
@@ -2834,7 +2481,7 @@ mod tests {
         let engine = engine();
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(Vec::new());
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let report = engine.run_map(&grid, &model, 8, 8);
+        let report = engine.map(&grid, &model, 8, 8, RunOptions::new());
         assert!(report.is_empty());
         assert_eq!(report.max_map_temperature(), None);
         assert!(format!("{report}").contains("0 scenarios"));
@@ -2847,7 +2494,7 @@ mod tests {
         let engine = engine();
         let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()]).activities(vec![1.0, 400.0]);
         let model = engine.uniform_tech_power(0.6, 0.4);
-        let report = engine.run_map(&grid, &model, 8, 8);
+        let report = engine.map(&grid, &model, 8, 8, RunOptions::new());
         assert_eq!(report.len(), 2);
         assert!(report.outcomes[0].map_k.is_some());
         assert!(matches!(
@@ -2930,8 +2577,8 @@ mod tests {
         let dense = SweepEngine::new(aligned_plan(8, 8)).backend(SweepBackend::Dense);
         let spectral = SweepEngine::new(aligned_plan(8, 8)).backend(SweepBackend::Spectral);
         let model = dense.uniform_tech_power(0.6, 0.002);
-        let d = dense.run(&grid, &model);
-        let s = spectral.run(&grid, &model);
+        let d = dense.sweep(&grid, &model, RunOptions::new());
+        let s = spectral.sweep(&grid, &model, RunOptions::new());
         assert_eq!(d.len(), s.len());
         for (a, b) in d.outcomes.iter().zip(&s.outcomes) {
             match (a, b) {
@@ -2969,7 +2616,7 @@ mod tests {
     fn explicit_spectral_on_an_incompatible_floorplan_panics() {
         let engine = engine().backend(SweepBackend::Spectral);
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let _ = engine.run(&small_grid(), &model);
+        let _ = engine.sweep(&small_grid(), &model, RunOptions::new());
     }
 
     #[test]
@@ -2987,10 +2634,10 @@ mod tests {
         // The adopted operator is bit-identical to a self-built one.
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.002);
-        let adopted = engine.run(&grid, &model);
+        let adopted = engine.sweep(&grid, &model, RunOptions::new());
         let fresh = SweepEngine::new(aligned_plan(8, 8))
             .backend(SweepBackend::Spectral)
-            .run(&grid, &model);
+            .sweep(&grid, &model, RunOptions::new());
         assert_eq!(adopted.outcomes, fresh.outcomes);
     }
 
@@ -3005,82 +2652,47 @@ mod tests {
     }
 
     #[test]
-    fn unified_sweep_matches_legacy_wrappers_bitwise() {
+    fn unified_sweep_replays_a_shared_operator_bitwise() {
         let engine = engine().threads(2);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let legacy = engine.run(&grid, &model);
-        // Defaults, explicit operator replay, and an explicit backend
-        // pin must all produce the same bits on this dense engine.
-        let unified = engine.sweep(&grid, &model, RunOptions::new());
-        assert_eq!(legacy.outcomes, unified.outcomes);
-        let shared = engine.shared_operator();
+        let self_built = engine.sweep(&grid, &model, RunOptions::new());
+        // A handle built by another engine (the fleet-cache path) must
+        // replay to the same bits as the engine's own lazy build.
+        let shared = SweepEngine::new(Floorplan::paper_three_blocks()).shared_operator();
         let replayed = engine.sweep(&grid, &model, RunOptions::new().operator(&shared));
-        assert_eq!(legacy.outcomes, replayed.outcomes);
-        let pinned = engine.sweep(
-            &grid,
-            &model,
-            RunOptions::new().backend(SweepBackend::Dense),
-        );
-        assert_eq!(legacy.outcomes, pinned.outcomes);
+        assert_eq!(self_built.outcomes, replayed.outcomes);
     }
 
     #[test]
-    fn per_call_backend_override_resolves_without_reconfiguring() {
-        // An Auto engine on a large aligned plan resolves spectral; the
-        // per-call Dense override must force the dense path for that
-        // call only, leaving the engine's own resolution untouched.
-        let engine = SweepEngine::new(aligned_plan(32, 16));
-        assert_eq!(engine.resolved_backend(), SweepBackend::Spectral);
-        let grid = small_grid();
-        let model = engine.uniform_tech_power(0.6, 0.002);
-        let dense = engine.sweep(
-            &grid,
-            &model,
-            RunOptions::new().backend(SweepBackend::Dense),
-        );
-        let dense_engine = SweepEngine::new(aligned_plan(32, 16)).backend(SweepBackend::Dense);
-        let oracle = dense_engine.run(&grid, &model);
-        assert_eq!(dense.outcomes, oracle.outcomes);
-        assert_eq!(engine.resolved_backend(), SweepBackend::Spectral);
-    }
-
-    #[test]
-    fn unified_map_matches_legacy_wrappers_bitwise() {
+    fn unified_map_replays_a_prebuilt_operator_bitwise() {
         let engine = engine().threads(2);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
-        let map_op = engine.map_operator(8, 6);
-        let legacy = engine.run_map_with(&grid, &model, &map_op);
-        let unified = engine.map(&grid, &model, 8, 6, RunOptions::new().operator(&map_op));
         let self_built = engine.map(&grid, &model, 8, 6, RunOptions::new());
-        for (a, b) in legacy.outcomes.iter().zip(&unified.outcomes) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.map_k, b.map_k);
-        }
-        for (a, b) in legacy.outcomes.iter().zip(&self_built.outcomes) {
+        let map_op = engine.map_operator(8, 6);
+        let replayed = engine.map(&grid, &model, 8, 6, RunOptions::new().operator(&map_op));
+        for (a, b) in self_built.outcomes.iter().zip(&replayed.outcomes) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.map_k, b.map_k);
         }
     }
 
     #[test]
-    fn unified_transient_matches_legacy_wrappers_bitwise() {
+    fn unified_transient_replays_a_prebuilt_propagator_bitwise() {
         let engine = engine().threads(2);
         let grid = small_grid();
         let model = engine.uniform_tech_power(0.6, 0.05);
         let cfg = TransientConfig::new(1e-4, 32)
             .waveforms(vec![DriveWaveform::Step, DriveWaveform::paper_gating()]);
-        let legacy = engine.run_transient(&grid, &model, &cfg).expect("legacy");
-        let unified = engine
+        let self_built = engine
             .transient(&grid, &model, &cfg, RunOptions::new())
-            .expect("unified");
-        assert_eq!(legacy.outcomes, unified.outcomes);
+            .expect("self-built");
         let top = engine.transient_operator(&cfg).expect("operator");
         let replayed = engine
             .transient(&grid, &model, &cfg, RunOptions::new().operator(&top))
             .expect("replayed");
-        assert_eq!(legacy.outcomes, replayed.outcomes);
+        assert_eq!(self_built.outcomes, replayed.outcomes);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! portable GEMM tier, ~ULP on FMA hardware — the same contract as the
 //! steady-state batch engine).
 //!
-//! [`SweepEngine::run_transient`](crate::cosim::SweepEngine::run_transient)
+//! [`SweepEngine::transient`](crate::cosim::SweepEngine::transient)
 //! shards scenario×waveform grids over worker threads on this path;
 //! [`SweepEngine::run_transient_per_scenario`](crate::cosim::SweepEngine::run_transient_per_scenario)
 //! is the one-lane-at-a-time oracle and

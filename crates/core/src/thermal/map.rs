@@ -38,7 +38,7 @@
 //! ([`map_operator_fingerprint`]) and shared read-only across threads;
 //! a per-worker [`MapWorkspace`] makes each map render allocation-free.
 //! Leakage feedback stays in the existing batched Picard loop:
-//! [`SweepEngine::run_map`](crate::cosim::SweepEngine::run_map) solves
+//! [`SweepEngine::map`](crate::cosim::SweepEngine::map) solves
 //! the block-level fixed point on the `MultiVec` GEMM path and renders
 //! maps from the converged power vectors.
 

@@ -187,10 +187,7 @@ impl std::error::Error for FleetConfigError {}
 ///
 /// Batch mode, serve mode, the benches and the chaos suite all build
 /// their engines here, so configuration invariants are checked in
-/// exactly one place — the legacy constructors
-/// ([`FleetEngine::new`] / [`FleetEngine::from_request`] /
-/// [`FleetEngine::with_faults`]) survive as deprecated shims over
-/// this builder.
+/// exactly one place.
 ///
 /// # Example
 ///
@@ -657,39 +654,11 @@ impl FleetEngine {
         }
     }
 
-    /// An engine with no floorplans registered yet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FleetEngineBuilder` (validated construction)"
-    )]
-    pub fn new(config: FleetConfig) -> Self {
-        Self::from_parts(config, None)
-    }
-
-    /// Installs a deterministic fault-injection plan: scheduled faults
-    /// fire by `(job index, attempt)` during [`Self::run`]. Chaos
-    /// testing only — a production engine carries no plan.
-    #[deprecated(since = "0.1.0", note = "use `FleetEngineBuilder::faults`")]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Replaces (or clears) the fault plan between runs — how the chaos
     /// suite checks a faulted engine serves a subsequent fault-free
     /// queue with zero residual cache poisoning.
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
         self.faults = plan;
-    }
-
-    /// An engine pre-loaded with a parsed request's floorplans.
-    #[deprecated(since = "0.1.0", note = "use `FleetEngineBuilder::request`")]
-    pub fn from_request(config: FleetConfig, request: &crate::jobs::FleetRequest) -> Self {
-        let mut engine = Self::from_parts(config, None);
-        for (name, plan) in &request.floorplans {
-            engine.register(name.clone(), plan.clone());
-        }
-        engine
     }
 
     /// Registers (or replaces) a named floorplan.
@@ -1103,7 +1072,11 @@ impl FleetEngine {
         } else {
             SweepBackend::Dense
         };
-        Ok((engine.run_with_cancel(&grid, &model, cancel), backend))
+        let opts = RunOptions {
+            cancel,
+            operator: None,
+        };
+        Ok((engine.sweep(&grid, &model, opts), backend))
     }
 
     /// Solves a delta job: the (cached or re-solved) cold base report
@@ -1134,7 +1107,7 @@ impl FleetEngine {
         let base_engine = self.steady_engine(base_spectral, floorplan, false)?;
         let base_grid = self.grid(&job.base);
         let base_model = FleetPower::for_job(&job.base, floorplan, &base_grid);
-        let solve_cold = || base_engine.run_with_cancel(&base_grid, &base_model, None);
+        let solve_cold = || base_engine.sweep(&base_grid, &base_model, RunOptions::new());
         let base_report = if self.config.amortize {
             let key = steady_result_fingerprint(&job.base, floorplan.fingerprint(), base_spectral);
             self.cache.steady_result(key, solve_cold)
@@ -1184,10 +1157,10 @@ impl FleetEngine {
 
         let model = FleetPower::for_job(&job.job, floorplan, &grid);
         let model = FaultableModel::new(&model, fault);
-        let mut opts = RunOptions::new();
-        if let Some(token) = cancel {
-            opts = opts.cancel(token);
-        }
+        let opts = RunOptions {
+            cancel,
+            operator: None,
+        };
         let report = delta_engine.sweep_seeded(&grid, &model, &seed_of, opts);
         let backend = if delta_spectral {
             SweepBackend::Spectral
@@ -1218,10 +1191,10 @@ impl FleetEngine {
             hi: job.hi,
             tolerance: job.tolerance,
         };
-        let mut opts = RunOptions::new();
-        if let Some(token) = cancel {
-            opts = opts.cancel(token);
-        }
+        let opts = RunOptions {
+            cancel,
+            operator: None,
+        };
         let report = engine
             .map_envelope(&grid, &model, &spec, opts)
             .map_err(JobError::Envelope)?;
@@ -1270,7 +1243,11 @@ impl FleetEngine {
         } else {
             Arc::new(engine.map_operator(job.nx, job.ny))
         };
-        Ok(engine.run_map_with_cancel(&grid, &model, &map_op, cancel))
+        let opts = RunOptions {
+            cancel,
+            operator: Some(&*map_op),
+        };
+        Ok(engine.map(&grid, &model, job.nx, job.ny, opts))
     }
 
     fn run_transient(
@@ -1308,8 +1285,12 @@ impl FleetEngine {
                     .map_err(JobError::Transient)?,
             )
         };
+        let opts = RunOptions {
+            cancel,
+            operator: Some(&*propagator),
+        };
         engine
-            .run_transient_with_cancel(&grid, &model, &cfg, &propagator, cancel)
+            .transient(&grid, &model, &cfg, opts)
             .map_err(JobError::Transient)
     }
 }

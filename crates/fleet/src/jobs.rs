@@ -388,8 +388,8 @@ impl ControlRecord {
     }
 }
 
-/// One classified request line: what both the batch parser and the
-/// serve-mode [`RequestParser`] produce per JSONL record.
+/// One classified request line: what [`RequestParser`] (and through it
+/// the batch [`parse_jsonl`]) produces per JSONL record.
 #[derive(Debug, Clone, PartialEq)]
 enum Record {
     /// A floorplan definition.
@@ -471,49 +471,15 @@ fn classify_record(
 ///
 /// The first offending line as a [`RequestError`].
 pub fn parse_jsonl(text: &str) -> Result<FleetRequest, RequestError> {
-    let mut request = FleetRequest::default();
-    let mut named: Vec<(String, SteadyJob)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let record = Json::parse(trimmed).map_err(|error| RequestError::Json { line, error })?;
-        let exists = |name: &str| request.floorplans.iter().any(|(n, _)| n == name);
-        let steady_of = |name: &str| {
-            named
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, job)| job.clone())
-        };
-        match classify_record(&record, line, &exists, &steady_of)? {
-            Record::Floorplan(name, plan) => {
-                if request.floorplans.iter().any(|(n, _)| *n == name) {
-                    return Err(RequestError::Schema {
-                        line,
-                        detail: format!("floorplan {name:?} defined twice"),
-                    });
-                }
-                request.floorplans.push((name, plan));
-            }
-            Record::Job(spec) => {
-                if let JobSpec::Steady(job) = &*spec {
-                    if let Some(name) = &job.name {
-                        if named.iter().any(|(n, _)| n == name) {
-                            return Err(RequestError::Schema {
-                                line,
-                                detail: format!("steady job {name:?} named twice"),
-                            });
-                        }
-                        named.push((name.clone(), job.clone()));
-                    }
-                }
-                request.jobs.push(*spec);
-            }
-            Record::Control(ctl) => {
+    let mut parser = RequestParser::new();
+    let mut jobs = Vec::new();
+    for raw in text.lines() {
+        match parser.parse_line(raw)? {
+            ParsedLine::Empty | ParsedLine::Floorplan(_) => {}
+            ParsedLine::Job { spec, .. } => jobs.push(*spec),
+            ParsedLine::Control(ctl) => {
                 return Err(RequestError::Schema {
-                    line,
+                    line: parser.lines_seen(),
                     detail: format!(
                         "control record \"{}\" is only valid on a serve-mode connection",
                         ctl.name()
@@ -522,7 +488,14 @@ pub fn parse_jsonl(text: &str) -> Result<FleetRequest, RequestError> {
             }
         }
     }
-    Ok(request)
+    // Every job's plan handle was dropped above, so the registry holds
+    // the only reference and unwrapping never clones.
+    let floorplans = parser
+        .floorplans
+        .into_iter()
+        .map(|(name, plan)| (name, Arc::unwrap_or_clone(plan)))
+        .collect();
+    Ok(FleetRequest { floorplans, jobs })
 }
 
 /// One line's outcome from the streaming [`RequestParser`].
@@ -550,7 +523,8 @@ pub enum ParsedLine {
 
 /// Incremental per-connection parser for serve mode.
 ///
-/// Unlike [`parse_jsonl`] (whole request, first-error refusal), a
+/// [`parse_jsonl`] drives one over a whole request and refuses at the
+/// first error; serve mode gives each connection its own. A
 /// `RequestParser` consumes one line at a time and keeps the
 /// connection's floorplan registry across lines, so a long-lived
 /// client can interleave definitions and jobs. Errors are per-line:

@@ -34,8 +34,8 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
 /// and is not part of the set.
 ///
 /// * R1 `panic-freedom`: the job hot path — `core/src/cosim/*`
-///   (which includes the warm-start sweep chains, the biased power
-///   law and the envelope bisector), `fleet/src/engine.rs`,
+///   (which includes the seeded sweeps, the biased power law and
+///   the envelope bisector), `fleet/src/engine.rs`,
 ///   `fleet/src/cache.rs`, `fleet/src/server.rs`, `par/src/*`. A
 ///   panic here kills a worker mid-fleet-run (or a serve-mode
 ///   connection thread).

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use ptherm::floorplan::{generator, Block, ChipGeometry, Floorplan};
 use ptherm::model::cosim::{
-    ScenarioGrid, SpectralOperator, SpectralScratch, SweepBackend, SweepEngine, SweepOutcome,
-    ThermalOperator,
+    RunOptions, ScenarioGrid, SpectralOperator, SpectralScratch, SweepBackend, SweepEngine,
+    SweepOutcome, ThermalOperator,
 };
 use ptherm::tech::Technology;
 
@@ -34,7 +34,7 @@ fn fixed_points(plan: &Floorplan, backend: SweepBackend) -> Vec<SweepOutcome> {
     let engine = SweepEngine::new(plan.clone()).backend(backend);
     let grid = small_grid();
     let model = engine.uniform_tech_power(0.3, 0.03).prepared_for(&grid);
-    engine.run(&grid, &model).outcomes
+    engine.sweep(&grid, &model, RunOptions::new()).outcomes
 }
 
 /// Spectral and dense must agree: same outcome kind per scenario, and
@@ -178,7 +178,7 @@ fn zero_power_sweeps_are_bitwise_ambient() {
     let engine = SweepEngine::new(plan).backend(SweepBackend::Spectral);
     let grid = small_grid();
     let model = engine.uniform_tech_power(0.0, 0.0).prepared_for(&grid);
-    let report = engine.run(&grid, &model);
+    let report = engine.sweep(&grid, &model, RunOptions::new());
     assert_eq!(report.converged_count(), report.len());
     for outcome in &report.outcomes {
         let SweepOutcome::Converged {
