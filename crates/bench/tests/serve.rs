@@ -148,6 +148,22 @@ fn refused_requests_and_flags_exit_two_with_empty_stdout() {
     assert_eq!(code, 2, "stderr: {stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("--threads"), "{stderr}");
+
+    // An unknown flag — a retired one or a typo — refuses to run in
+    // every mode instead of running on defaults.
+    let jobs = jobs.to_str().unwrap();
+    for args in [
+        &["--jobs", jobs, "--no-cache"][..],
+        &["--jobs", jobs, "--thread", "4"],
+        &["serve", "--threads", "2", "--listen-on", "127.0.0.1:0"],
+        &["client", "--jobs", jobs, "--conect", "127.0.0.1:7411"],
+        &["--quick", "--full"],
+    ] {
+        let (code, stdout, stderr) = run_fleet(&dir, args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -985,6 +985,23 @@ impl SweepBackend {
             SweepBackend::Spectral => "spectral",
         }
     }
+
+    /// The backend this choice runs `floorplan` on, decided before any
+    /// operator is built: `Auto` resolves to spectral for
+    /// grid-coincident floorplans of at least [`SPECTRAL_AUTO_THRESHOLD`]
+    /// blocks, dense otherwise; explicit choices pass through.
+    pub fn resolve(self, floorplan: &Floorplan) -> SweepBackend {
+        match self {
+            SweepBackend::Auto
+                if floorplan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD
+                    && infer_grid(floorplan).is_ok() =>
+            {
+                SweepBackend::Spectral
+            }
+            SweepBackend::Auto => SweepBackend::Dense,
+            explicit => explicit,
+        }
+    }
 }
 
 impl fmt::Display for SweepBackend {
@@ -1255,23 +1272,19 @@ impl SweepEngine {
         Ok(self.spectral.get_or_init(|| built))
     }
 
-    /// The backend [`Self::sweep`] will actually use: `Auto` resolves to
-    /// spectral for grid-coincident floorplans of at least
-    /// [`SPECTRAL_AUTO_THRESHOLD`] blocks, dense otherwise; explicit
-    /// choices pass through.
+    /// The backend [`Self::sweep`] will actually use
+    /// ([`SweepBackend::resolve`] on this engine's floorplan).
     pub fn resolved_backend(&self) -> SweepBackend {
+        let plan = self.solver.floorplan();
         match self.backend {
-            SweepBackend::Auto => {
-                let plan = self.solver.floorplan();
-                if plan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD
-                    && (self.spectral.get().is_some() || infer_grid(plan).is_ok())
-                {
-                    SweepBackend::Spectral
-                } else {
-                    SweepBackend::Dense
-                }
+            // A built spectral operator already proves the grid.
+            SweepBackend::Auto
+                if self.spectral.get().is_some()
+                    && plan.blocks().len() >= SPECTRAL_AUTO_THRESHOLD =>
+            {
+                SweepBackend::Spectral
             }
-            explicit => explicit,
+            backend => backend.resolve(plan),
         }
     }
 
@@ -1737,7 +1750,12 @@ impl SweepEngine {
         let caps = self.transient_capacitances(cfg);
         assert_eq!(
             top.fingerprint(),
-            crate::cosim::propagator_fingerprint(self.dense_operator(), &caps, cfg.dt, cfg.scheme),
+            crate::cosim::propagator_fingerprint(
+                self.dense_operator().fingerprint(),
+                &caps,
+                cfg.dt,
+                cfg.scheme
+            ),
             "propagator/config fingerprint mismatch"
         );
         let waveforms = cfg.effective_waveforms()?;

@@ -248,17 +248,19 @@ pub struct TransientOperator {
 }
 
 /// Fingerprint of the propagator [`TransientOperator::new`] would build:
-/// the source operator's fingerprint mixed with the capacitance vector,
+/// the source operator's fingerprint (`operator_fp`, see
+/// [`ThermalOperator::fingerprint`]) mixed with the capacitance vector,
 /// the time step and the scheme — every input of the factorization.
-/// Computable without factoring, so a cache can decide hit/miss first.
+/// Computable without factoring, or even assembling the source
+/// operator, so a cache can decide hit/miss first.
 pub fn propagator_fingerprint(
-    op: &ThermalOperator,
+    operator_fp: u64,
     capacitances: &[f64],
     dt: f64,
     scheme: ImplicitScheme,
 ) -> u64 {
     let mut f = ptherm_floorplan::fingerprint::Fingerprinter::new("ptherm.propagator.v1");
-    f.write_u64(op.fingerprint());
+    f.write_u64(operator_fp);
     f.write_f64_slice(capacitances);
     f.write_f64(dt);
     f.write_u64(match scheme {
@@ -351,7 +353,7 @@ impl TransientOperator {
             scheme,
             sink_temperature: op.sink_temperature(),
             min_tau,
-            fingerprint: propagator_fingerprint(op, capacitances, dt, scheme),
+            fingerprint: propagator_fingerprint(op.fingerprint(), capacitances, dt, scheme),
         })
     }
 

@@ -4,7 +4,7 @@
 //!
 //! Everything is closed-form; a full-chip temperature query costs a few
 //! dozen logarithms — that is the speedup the paper claims over numerical
-//! PDE solvers (quantified in the `thermal` Criterion bench against the
+//! PDE solvers (quantified by the `speedup` bench binary against the
 //! finite-difference reference).
 
 use crate::thermal::images::{expand_images, ImageSource};

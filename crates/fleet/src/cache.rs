@@ -21,15 +21,24 @@
 //!   which is safe precisely because fingerprint equality implies the
 //!   build output is bit-identical (a cache hit can never change any
 //!   temperature; the test suite asserts this bitwise).
+//!
+//! [`OperatorCache`] is the one place the fleet keys its artifacts: its
+//! accessors derive each fingerprint, and every operator entry records
+//! the [`CacheRecipe`] that rebuilds it, so what [`crate::persist`]
+//! saves is exactly what the caches hold.
 
+use crate::jobs::{steady_result_fingerprint, SteadyJob};
 use ptherm_core::cosim::{
-    operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint, SpectralGridError,
-    SpectralOperator, SweepReport, ThermalOperator, TransientError, TransientOperator,
+    infer_grid, operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint,
+    SpectralGridError, SpectralOperator, SweepReport, ThermalOperator, TransientError,
+    TransientOperator,
 };
+use ptherm_core::thermal::capacitance::silicon_block_capacitances;
 use ptherm_core::thermal::map::{map_operator_fingerprint, MapOperator};
 use ptherm_floorplan::Floorplan;
 use ptherm_math::ode::ImplicitScheme;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -107,6 +116,15 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             .values()
             .filter(|e| e.value.is_some())
             .count()
+    }
+
+    /// Every ready entry's key and value, in no particular order.
+    fn ready(&self) -> Vec<(K, Arc<V>)> {
+        self.lock()
+            .map
+            .iter()
+            .filter_map(|(key, e)| e.value.as_ref().map(|v| (key.clone(), Arc::clone(v))))
+            .collect()
     }
 
     /// True when no ready entry is cached.
@@ -308,13 +326,132 @@ impl<K: Eq + Hash + Clone, V> Drop for BuildGuard<'_, K, V> {
     }
 }
 
-/// The fleet's operator caches, keyed by content fingerprint.
+/// How to rebuild one cached operator from its floorplan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecipeKind {
+    /// Dense steady-state [`ThermalOperator`] (the engine's configured
+    /// image orders are part of the fingerprint, not the recipe).
+    Steady,
+    /// [`SpectralOperator`] at a refinement tolerance (the tile grid is
+    /// re-inferred from the floorplan).
+    Spectral {
+        /// Refinement tolerance the operator was built at.
+        tolerance: f64,
+    },
+    /// Transient propagator over the floorplan's steady operator and
+    /// silicon block capacitances.
+    Transient {
+        /// Time step, s.
+        dt_s: f64,
+        /// Implicit scheme.
+        scheme: ImplicitScheme,
+    },
+    /// Pixel-grid [`MapOperator`].
+    Map {
+        /// Horizontal pixel count.
+        nx: usize,
+        /// Vertical pixel count.
+        ny: usize,
+    },
+}
+
+/// One cached operator's rebuild recipe: the floorplan it was built
+/// from plus the kind-specific parameters.
+#[derive(Debug, Clone)]
+pub struct CacheRecipe {
+    /// The floorplan the operator was built from.
+    pub floorplan: Arc<Floorplan>,
+    /// Kind-specific rebuild parameters.
+    pub kind: RecipeKind,
+}
+
+impl CacheRecipe {
+    /// The fingerprint the operator this recipe rebuilds is cached
+    /// under at the given image orders — the keys the accessors below
+    /// compute, derived from the recipe alone, so nothing is built to
+    /// check it.
+    fn fingerprint(&self, lateral_order: usize, z_order: usize) -> Result<u64, SpectralGridError> {
+        let plan = &*self.floorplan;
+        Ok(match self.kind {
+            RecipeKind::Steady => operator_fingerprint(plan, lateral_order, z_order),
+            RecipeKind::Spectral { tolerance } => {
+                let (nx, ny) = infer_grid(plan)?;
+                spectral_operator_fingerprint(plan, lateral_order, z_order, nx, ny, tolerance)
+            }
+            RecipeKind::Transient { dt_s, scheme } => propagator_fingerprint(
+                operator_fingerprint(plan, lateral_order, z_order),
+                &silicon_block_capacitances(plan),
+                dt_s,
+                scheme,
+            ),
+            RecipeKind::Map { nx, ny } => {
+                map_operator_fingerprint(plan, lateral_order, z_order, nx, ny)
+            }
+        })
+    }
+}
+
+/// A cached operator and the recipe that rebuilds it. They share one
+/// entry, so the recipe is evicted with the operator.
+#[derive(Debug)]
+struct Recorded<V> {
+    value: Arc<V>,
+    recipe: CacheRecipe,
+}
+
+/// The value under `key` in `lru`; on a miss, `build` runs inside the
+/// single-flight reservation and the entry records `floorplan` and
+/// `kind` as its recipe.
+fn recorded<V, E>(
+    lru: &Lru<u64, Recorded<V>>,
+    key: u64,
+    floorplan: &Arc<Floorplan>,
+    kind: RecipeKind,
+    build: impl FnOnce() -> Result<V, E>,
+) -> Result<Arc<V>, E> {
+    lru.get_or_build(key, || {
+        Ok(Recorded {
+            value: Arc::new(build()?),
+            recipe: CacheRecipe {
+                floorplan: Arc::clone(floorplan),
+                kind,
+            },
+        })
+    })
+    .map(|entry| Arc::clone(&entry.value))
+}
+
+/// `(key, recipe)` of every ready entry of `lru`.
+fn recipes_of<V>(lru: &Lru<u64, Recorded<V>>) -> impl Iterator<Item = (u64, CacheRecipe)> {
+    lru.ready()
+        .into_iter()
+        .map(|(key, entry)| (key, entry.recipe.clone()))
+}
+
+fn infallible<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}
+
+/// The fleet's operator caches: the one place an artifact request is
+/// mapped to its content fingerprint, its single-flight build and its
+/// rebuild recipe.
+///
+/// Every accessor computes its key once from the job's floorplan and
+/// parameters; the entry it builds on a miss records the recipe that
+/// reproduces it ([`Self::recipes`]), and [`Self::warm`] replays such a
+/// recipe after checking it still keys to its recorded fingerprint.
+/// Operators build serially (`threads = 1`) on a miss — fleet workers
+/// are the parallelism, so a job's build must not oversubscribe its
+/// siblings.
 #[derive(Debug)]
 pub struct OperatorCache {
-    steady: Lru<u64, ThermalOperator>,
-    transient: Lru<u64, TransientOperator>,
-    map: Lru<u64, MapOperator>,
-    spectral: Lru<u64, SpectralOperator>,
+    steady: Lru<u64, Recorded<ThermalOperator>>,
+    transient: Lru<u64, Recorded<TransientOperator>>,
+    map: Lru<u64, Recorded<MapOperator>>,
+    spectral: Lru<u64, Recorded<SpectralOperator>>,
     results: Lru<u64, SweepReport>,
 }
 
@@ -332,100 +469,100 @@ impl OperatorCache {
         }
     }
 
-    /// The influence operator of `floorplan` at the given image orders:
-    /// cached under [`operator_fingerprint`], built serially
-    /// (`threads = 1`) on a miss — fleet workers are the parallelism,
-    /// so a job's build must not oversubscribe its siblings.
+    /// The influence operator of `floorplan` at the given image orders,
+    /// cached under [`operator_fingerprint`].
+    ///
+    /// `hook` runs at the start of a cold build, **inside** the
+    /// single-flight reservation; hits never run it. This is the
+    /// fault-injection seam: a hook that panics exercises exactly the
+    /// builder-panic path a real build failure would take — the
+    /// reservation is released by the build guard, waiters wake, and
+    /// one of them retries the build.
     pub fn steady_operator(
         &self,
-        floorplan: &Floorplan,
-        lateral_order: usize,
-        z_order: usize,
-    ) -> Arc<ThermalOperator> {
-        self.steady_operator_hooked(floorplan, lateral_order, z_order, || {})
-    }
-
-    /// [`Self::steady_operator`] with a `hook` run at the start of a
-    /// cold build, **inside** the single-flight reservation. This is
-    /// the fault-injection seam: a hook that panics exercises exactly
-    /// the builder-panic path a real build failure would take — the
-    /// reservation is released by the build guard, waiters wake, and
-    /// one of them retries the build. Hits never run the hook.
-    pub fn steady_operator_hooked(
-        &self,
-        floorplan: &Floorplan,
+        floorplan: &Arc<Floorplan>,
         lateral_order: usize,
         z_order: usize,
         hook: impl FnOnce(),
     ) -> Arc<ThermalOperator> {
         let key = operator_fingerprint(floorplan, lateral_order, z_order);
-        let built: Result<_, std::convert::Infallible> = self.steady.get_or_build(key, || {
-            hook();
-            Ok(ThermalOperator::with_image_orders_threaded(
-                floorplan,
-                lateral_order,
-                z_order,
-                1,
-            ))
-        });
-        match built {
-            Ok(op) => op,
-            Err(never) => match never {},
-        }
+        infallible(recorded(
+            &self.steady,
+            key,
+            floorplan,
+            RecipeKind::Steady,
+            || {
+                hook();
+                Ok(ThermalOperator::with_image_orders_threaded(
+                    floorplan,
+                    lateral_order,
+                    z_order,
+                    1,
+                ))
+            },
+        ))
     }
 
-    /// The implicit transient propagator for `(op, capacitances, dt,
-    /// scheme)`: cached under [`propagator_fingerprint`].
+    /// The implicit transient propagator of `floorplan`'s steady
+    /// operator `op` at `(dt, scheme)`, over the floorplan's silicon
+    /// block capacitances: cached under [`propagator_fingerprint`].
     ///
     /// # Errors
     ///
     /// See [`TransientError`] — a failed factorization caches nothing.
     pub fn transient_operator(
         &self,
+        floorplan: &Arc<Floorplan>,
         op: &ThermalOperator,
-        capacitances: &[f64],
         dt: f64,
         scheme: ImplicitScheme,
     ) -> Result<Arc<TransientOperator>, TransientError> {
-        let key = propagator_fingerprint(op, capacitances, dt, scheme);
-        self.transient
-            .get_or_build(key, || TransientOperator::new(op, capacitances, dt, scheme))
+        let capacitances = silicon_block_capacitances(floorplan);
+        let key = propagator_fingerprint(op.fingerprint(), &capacitances, dt, scheme);
+        recorded(
+            &self.transient,
+            key,
+            floorplan,
+            RecipeKind::Transient { dt_s: dt, scheme },
+            || TransientOperator::new(op, &capacitances, dt, scheme),
+        )
     }
 
     /// The spatial map operator of `floorplan` on an `nx × ny` tile
-    /// grid at the given image orders: cached under
-    /// [`map_operator_fingerprint`], built serially on a miss (fleet
-    /// workers are the parallelism, like [`Self::steady_operator`]).
+    /// grid at the given image orders, cached under
+    /// [`map_operator_fingerprint`].
     pub fn map_operator(
         &self,
-        floorplan: &Floorplan,
+        floorplan: &Arc<Floorplan>,
         lateral_order: usize,
         z_order: usize,
         nx: usize,
         ny: usize,
     ) -> Arc<MapOperator> {
         let key = map_operator_fingerprint(floorplan, lateral_order, z_order, nx, ny);
-        let built: Result<_, std::convert::Infallible> = self.map.get_or_build(key, || {
-            Ok(MapOperator::with_image_orders_threaded(
-                floorplan,
-                nx,
-                ny,
-                lateral_order,
-                z_order,
-                1,
-            ))
-        });
-        match built {
-            Ok(op) => op,
-            Err(never) => match never {},
-        }
+        infallible(recorded(
+            &self.map,
+            key,
+            floorplan,
+            RecipeKind::Map { nx, ny },
+            || {
+                Ok(MapOperator::with_image_orders_threaded(
+                    floorplan,
+                    nx,
+                    ny,
+                    lateral_order,
+                    z_order,
+                    1,
+                ))
+            },
+        ))
     }
 
     /// The spectral (FFT) steady operator of `floorplan` at the given
-    /// image orders and refinement tolerance: cached under
+    /// image orders and refinement tolerance, cached under
     /// [`spectral_operator_fingerprint`] with the inferred coincident
-    /// grid, built serially on a miss (fleet workers are the
-    /// parallelism, like [`Self::steady_operator`]).
+    /// grid. `hook` is the same fault-injection seam as in
+    /// [`Self::steady_operator`].
     ///
     /// # Errors
     ///
@@ -434,48 +571,37 @@ impl OperatorCache {
     /// the dense path (or report a typed job error).
     pub fn spectral_operator(
         &self,
-        floorplan: &Floorplan,
-        lateral_order: usize,
-        z_order: usize,
-        tolerance: f64,
-    ) -> Result<Arc<SpectralOperator>, SpectralGridError> {
-        self.spectral_operator_hooked(floorplan, lateral_order, z_order, tolerance, || {})
-    }
-
-    /// [`Self::spectral_operator`] with a `hook` run at the start of a
-    /// cold build, inside the single-flight reservation — the same
-    /// fault-injection seam as [`Self::steady_operator_hooked`].
-    ///
-    /// # Errors
-    ///
-    /// [`SpectralGridError`] when no coincident tile grid exists.
-    pub fn spectral_operator_hooked(
-        &self,
-        floorplan: &Floorplan,
+        floorplan: &Arc<Floorplan>,
         lateral_order: usize,
         z_order: usize,
         tolerance: f64,
         hook: impl FnOnce(),
     ) -> Result<Arc<SpectralOperator>, SpectralGridError> {
-        let (nx, ny) = ptherm_core::cosim::infer_grid(floorplan)?;
+        let (nx, ny) = infer_grid(floorplan)?;
         let key =
             spectral_operator_fingerprint(floorplan, lateral_order, z_order, nx, ny, tolerance);
-        self.spectral.get_or_build(key, || {
-            hook();
-            SpectralOperator::with_image_orders_threaded(
-                floorplan,
-                lateral_order,
-                z_order,
-                tolerance,
-                1,
-            )
-        })
+        recorded(
+            &self.spectral,
+            key,
+            floorplan,
+            RecipeKind::Spectral { tolerance },
+            || {
+                hook();
+                SpectralOperator::with_image_orders_threaded(
+                    floorplan,
+                    lateral_order,
+                    z_order,
+                    tolerance,
+                    1,
+                )
+            },
+        )
     }
 
-    /// The **cold** steady result of a resolved delta-base request:
-    /// cached under the base's steady-request fingerprint
-    /// ([`crate::jobs::steady_result_fingerprint`]), solved
-    /// single-flight by `build` on a miss.
+    /// The **cold** steady result of a resolved delta base `base` on
+    /// `floorplan` and the resolved backend: cached under
+    /// [`steady_result_fingerprint`], solved single-flight by `build`
+    /// on a miss.
     ///
     /// # Keying rules
     ///
@@ -483,19 +609,72 @@ impl OperatorCache {
     /// request** — floorplan content fingerprint, power budgets, power
     /// law (and θ), every scenario axis and the resolved backend —
     /// because the cached value is the solved report itself, not a
-    /// reusable kernel (see [`crate::jobs::steady_result_fingerprint`]
-    /// for the full include/exclude contract). Deadlines, job names
-    /// and cancellation state are deliberately **excluded**: they
-    /// shape scheduling, not the fixed point, and `build` must solve
-    /// cold (no faults, no deadline token) so a recalled entry and a
-    /// re-solved one are bitwise identical — the determinism contract
-    /// `delta` jobs pin in `tests/delta_determinism.rs`.
-    pub fn steady_result(&self, key: u64, build: impl FnOnce() -> SweepReport) -> Arc<SweepReport> {
-        let built: Result<_, std::convert::Infallible> =
-            self.results.get_or_build(key, || Ok(build()));
-        match built {
-            Ok(report) => report,
-            Err(never) => match never {},
+    /// reusable kernel (see [`steady_result_fingerprint`] for the full
+    /// include/exclude contract). Deadlines, job names and cancellation
+    /// state are deliberately **excluded**: they shape scheduling, not
+    /// the fixed point, and `build` must solve cold (no faults, no
+    /// deadline token) so a recalled entry and a re-solved one are
+    /// bitwise identical — the determinism contract `delta` jobs pin in
+    /// `tests/delta_determinism.rs`.
+    pub fn steady_result(
+        &self,
+        base: &SteadyJob,
+        floorplan: &Floorplan,
+        spectral: bool,
+        build: impl FnOnce() -> SweepReport,
+    ) -> Arc<SweepReport> {
+        let key = steady_result_fingerprint(base, floorplan.fingerprint(), spectral);
+        infallible(self.results.get_or_build(key, || Ok(build())))
+    }
+
+    /// The rebuild recipe of every cached operator, in fingerprint
+    /// order — exactly the entries the caches hold now: an evicted
+    /// entry took its recipe with it.
+    pub fn recipes(&self) -> Vec<(u64, CacheRecipe)> {
+        let mut recipes: Vec<(u64, CacheRecipe)> = recipes_of(&self.steady)
+            .chain(recipes_of(&self.transient))
+            .chain(recipes_of(&self.map))
+            .chain(recipes_of(&self.spectral))
+            .collect();
+        recipes.sort_by_key(|(key, _)| *key);
+        recipes
+    }
+
+    /// Rebuilds the operator `recipe` describes through the ordinary
+    /// accessors (counted like a job's lookups: a miss builds), if the
+    /// recipe still keys to `fingerprint` at the given image orders.
+    ///
+    /// Returns `false`, having built nothing, for a stale recipe: one
+    /// recorded under other image orders or a different tolerance, or
+    /// from an edited floorplan. Also `false` when the rebuild itself
+    /// fails (no coincident grid, a rejected factorization).
+    pub fn warm(
+        &self,
+        fingerprint: u64,
+        recipe: &CacheRecipe,
+        lateral_order: usize,
+        z_order: usize,
+    ) -> bool {
+        if recipe.fingerprint(lateral_order, z_order) != Ok(fingerprint) {
+            return false;
+        }
+        let plan = &recipe.floorplan;
+        match recipe.kind {
+            RecipeKind::Steady => {
+                self.steady_operator(plan, lateral_order, z_order, || {});
+                true
+            }
+            RecipeKind::Spectral { tolerance } => self
+                .spectral_operator(plan, lateral_order, z_order, tolerance, || {})
+                .is_ok(),
+            RecipeKind::Transient { dt_s, scheme } => {
+                let op = self.steady_operator(plan, lateral_order, z_order, || {});
+                self.transient_operator(plan, &op, dt_s, scheme).is_ok()
+            }
+            RecipeKind::Map { nx, ny } => {
+                self.map_operator(plan, lateral_order, z_order, nx, ny);
+                true
+            }
         }
     }
 

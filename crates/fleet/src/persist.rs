@@ -3,35 +3,38 @@
 //!
 //! The caches themselves are never serialized — a factored operator is
 //! megabytes of floats whose bit pattern already falls out of a
-//! deterministic build. What persists is the **recipe**: the floorplan
-//! and the handful of parameters ([`RecipeKind`]) that reproduce each
-//! entry, keyed by the same content fingerprint the cache itself uses.
-//! [`warm`] replays the recipes through the ordinary cache paths, so a
-//! restarted service reaches steady-state hit rates before its first
-//! job — and a warmed operator is *bit-identical* to the one the
-//! previous process held, because fingerprint equality implies build
-//! equality (the cache's core invariant).
+//! deterministic build. What persists is the **recipe** each cache
+//! entry records ([`CacheRecipe`]): the floorplan and the handful of
+//! parameters that reproduce the entry, keyed by the fingerprint the
+//! entry is cached under. This module owns only the manifest's JSON
+//! format; [`OperatorCache`](crate::OperatorCache) owns the keys and
+//! the rebuilds. [`warm`] replays the recipes through the ordinary
+//! cache paths, so a restarted service reaches steady-state hit rates
+//! before its first job — and a warmed operator is *bit-identical* to
+//! the one the previous process held, because fingerprint equality
+//! implies build equality (the cache's core invariant).
+//!
+//! A manifest lists exactly the entries the caches hold when it is
+//! rendered: an entry evicted by the LRU policy (or a
+//! [`Fault::EvictCaches`](crate::Fault::EvictCaches)) takes its recipe
+//! with it.
 //!
 //! Staleness is handled structurally: every entry carries the
-//! fingerprint it was recorded under, and [`warm`] recomputes the
+//! fingerprint it was recorded under, and the cache recomputes the
 //! fingerprint from the manifest floorplan and the *warming* engine's
-//! configuration before building. An entry recorded under different
-//! image orders, a different tolerance or an edited floorplan hashes
-//! differently and is skipped (counted in [`WarmReport::skipped`]),
-//! never rebuilt wrong.
+//! configuration before building anything. An entry recorded under
+//! different image orders, a different tolerance or an edited
+//! floorplan hashes differently and is skipped (counted in
+//! [`WarmReport::skipped`]), never rebuilt wrong.
 //!
 //! Floats round-trip **exactly**: every `f64` in a manifest is stored
 //! as the hex of its IEEE-754 bit pattern (`f64::to_bits`), not a
 //! decimal rendering — so a floorplan's fingerprint after reload equals
 //! its fingerprint before, and warm hits the same cache keys.
 
+use crate::cache::{CacheRecipe, RecipeKind};
 use crate::engine::FleetEngine;
 use crate::json::Json;
-use ptherm_core::cosim::{
-    infer_grid, operator_fingerprint, propagator_fingerprint, spectral_operator_fingerprint,
-};
-use ptherm_core::thermal::capacitance::silicon_block_capacitances;
-use ptherm_core::thermal::map::map_operator_fingerprint;
 use ptherm_floorplan::{Block, ChipGeometry, Floorplan};
 use ptherm_math::ode::ImplicitScheme;
 use std::sync::Arc;
@@ -39,62 +42,6 @@ use std::sync::Arc;
 /// Manifest schema version (bumped on any incompatible layout change;
 /// [`warm`] refuses manifests it does not understand).
 pub const MANIFEST_VERSION: u64 = 1;
-
-/// How to rebuild one cached operator from its floorplan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecipeKind {
-    /// Dense steady-state [`ThermalOperator`] (the engine's configured
-    /// image orders are part of the fingerprint, not the recipe).
-    ///
-    /// [`ThermalOperator`]: ptherm_core::cosim::ThermalOperator
-    Steady,
-    /// [`SpectralOperator`] at a refinement tolerance (the tile grid is
-    /// re-inferred from the floorplan).
-    ///
-    /// [`SpectralOperator`]: ptherm_core::cosim::SpectralOperator
-    Spectral {
-        /// Refinement tolerance the operator was built at.
-        tolerance: f64,
-    },
-    /// Transient propagator over the floorplan's steady operator.
-    Transient {
-        /// Time step, s.
-        dt_s: f64,
-        /// Implicit scheme.
-        scheme: ImplicitScheme,
-    },
-    /// Pixel-grid [`MapOperator`].
-    ///
-    /// [`MapOperator`]: ptherm_core::thermal::map::MapOperator
-    Map {
-        /// Horizontal pixel count.
-        nx: usize,
-        /// Vertical pixel count.
-        ny: usize,
-    },
-}
-
-impl RecipeKind {
-    /// The manifest's `"kind"` tag.
-    fn tag(&self) -> &'static str {
-        match self {
-            RecipeKind::Steady => "steady",
-            RecipeKind::Spectral { .. } => "spectral",
-            RecipeKind::Transient { .. } => "transient",
-            RecipeKind::Map { .. } => "map",
-        }
-    }
-}
-
-/// One cached operator's rebuild recipe: the floorplan it was built
-/// from plus the kind-specific parameters.
-#[derive(Debug, Clone)]
-pub struct CacheRecipe {
-    /// The floorplan the operator was built from.
-    pub floorplan: Arc<Floorplan>,
-    /// Kind-specific rebuild parameters.
-    pub kind: RecipeKind,
-}
 
 /// What [`warm`] did with a manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -216,37 +163,76 @@ fn scheme_from_tag(tag: &str) -> Option<ImplicitScheme> {
     }
 }
 
-/// Renders the engine's recorded cache recipes as a manifest value.
+/// One manifest entry: the `"kind"` tag, the fingerprint, the floorplan
+/// and the kind-specific parameters, in that order.
+fn entry_to_json(fingerprint: u64, recipe: &CacheRecipe) -> Json {
+    let (tag, params) = match &recipe.kind {
+        RecipeKind::Steady => ("steady", vec![]),
+        RecipeKind::Spectral { tolerance } => {
+            ("spectral", vec![("tolerance".into(), hex_bits(*tolerance))])
+        }
+        RecipeKind::Transient { dt_s, scheme } => (
+            "transient",
+            vec![
+                ("dt_s".into(), hex_bits(*dt_s)),
+                ("scheme".into(), Json::String(scheme_tag(*scheme).into())),
+            ],
+        ),
+        RecipeKind::Map { nx, ny } => (
+            "map",
+            vec![
+                ("nx".into(), Json::Number(*nx as f64)),
+                ("ny".into(), Json::Number(*ny as f64)),
+            ],
+        ),
+    };
+    let mut fields = vec![
+        ("kind".into(), Json::String(tag.into())),
+        ("fingerprint".into(), hex_u64(fingerprint)),
+        ("floorplan".into(), floorplan_to_json(&recipe.floorplan)),
+    ];
+    fields.extend(params);
+    Json::Object(fields)
+}
+
+/// The recorded fingerprint and the recipe of one manifest entry, or
+/// `None` for a malformed record.
+fn entry_from_json(entry: &Json) -> Option<(u64, CacheRecipe)> {
+    let fingerprint = from_hex_u64(entry.get("fingerprint")?)?;
+    let floorplan = Arc::new(floorplan_from_json(entry.get("floorplan")?)?);
+    let kind = match entry.get("kind")?.as_str()? {
+        "steady" => RecipeKind::Steady,
+        "spectral" => RecipeKind::Spectral {
+            tolerance: from_hex_bits(entry.get("tolerance")?)?,
+        },
+        "transient" => RecipeKind::Transient {
+            dt_s: from_hex_bits(entry.get("dt_s")?)?,
+            scheme: scheme_from_tag(entry.get("scheme")?.as_str()?)?,
+        },
+        "map" => match (
+            entry.get("nx").and_then(Json::as_usize),
+            entry.get("ny").and_then(Json::as_usize),
+        ) {
+            (Some(nx), Some(ny)) if nx > 0 && ny > 0 => RecipeKind::Map { nx, ny },
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some((fingerprint, CacheRecipe { floorplan, kind }))
+}
+
+/// Renders the recipes of every operator the engine's caches hold as a
+/// manifest value.
 ///
 /// Entries are fingerprint-ordered, so the manifest of a given cache
-/// state is byte-stable regardless of job arrival order. An engine that
-/// has served no amortized jobs yields a valid empty manifest.
+/// state is byte-stable regardless of job arrival order. An engine
+/// whose caches hold no operator yields a valid empty manifest.
 pub fn manifest(engine: &FleetEngine) -> Json {
     let entries = engine
-        .recipes_snapshot()
-        .into_iter()
-        .map(|(key, recipe)| {
-            let mut fields = vec![
-                ("kind".into(), Json::String(recipe.kind.tag().into())),
-                ("fingerprint".into(), hex_u64(key)),
-                ("floorplan".into(), floorplan_to_json(&recipe.floorplan)),
-            ];
-            match &recipe.kind {
-                RecipeKind::Steady => {}
-                RecipeKind::Spectral { tolerance } => {
-                    fields.push(("tolerance".into(), hex_bits(*tolerance)));
-                }
-                RecipeKind::Transient { dt_s, scheme } => {
-                    fields.push(("dt_s".into(), hex_bits(*dt_s)));
-                    fields.push(("scheme".into(), Json::String(scheme_tag(*scheme).into())));
-                }
-                RecipeKind::Map { nx, ny } => {
-                    fields.push(("nx".into(), Json::Number(*nx as f64)));
-                    fields.push(("ny".into(), Json::Number(*ny as f64)));
-                }
-            }
-            Json::Object(fields)
-        })
+        .cache()
+        .recipes()
+        .iter()
+        .map(|(fingerprint, recipe)| entry_to_json(*fingerprint, recipe))
         .collect();
     Json::Object(vec![
         (
@@ -284,121 +270,35 @@ pub fn parse_manifest(text: &str) -> Result<Json, ManifestError> {
     Ok(manifest)
 }
 
-/// Rebuilds every still-valid manifest entry through the engine's
-/// ordinary cache paths (the builds themselves register as misses on
-/// the cache counters, exactly like first-job builds would).
+/// Rebuilds every still-valid manifest entry into the engine's caches
+/// ([`OperatorCache::warm`](crate::OperatorCache::warm); the builds
+/// register as misses on the cache counters, exactly like first-job
+/// builds would).
 ///
 /// Stale entries — fingerprint mismatch under this engine's image
 /// orders, floorplans that no longer validate, malformed records — are
-/// skipped, never guessed at. Warming also (re-)records each rebuilt
-/// recipe, so a save → warm → save chain is idempotent.
+/// skipped, never guessed at. Each rebuilt entry records its recipe
+/// again, so a save → warm → save chain is idempotent.
 pub fn warm(engine: &FleetEngine, manifest: &Json) -> WarmReport {
     let mut report = WarmReport::default();
     let entries = match manifest.get("entries").and_then(Json::as_array) {
         Some(entries) => entries,
         None => return report,
     };
+    let config = engine.config();
     for entry in entries {
-        if warm_entry(engine, entry) {
+        let rebuilt = entry_from_json(entry).is_some_and(|(fingerprint, recipe)| {
+            engine
+                .cache()
+                .warm(fingerprint, &recipe, config.lateral_order, config.z_order)
+        });
+        if rebuilt {
             report.rebuilt += 1;
         } else {
             report.skipped += 1;
         }
     }
     report
-}
-
-fn warm_entry(engine: &FleetEngine, entry: &Json) -> bool {
-    let (lateral, z) = {
-        let config = engine.config();
-        (config.lateral_order, config.z_order)
-    };
-    let recorded_key = match entry.get("fingerprint").and_then(from_hex_u64) {
-        Some(key) => key,
-        None => return false,
-    };
-    let plan = match entry.get("floorplan").and_then(floorplan_from_json) {
-        Some(plan) => Arc::new(plan),
-        None => return false,
-    };
-    match entry.get("kind").and_then(Json::as_str) {
-        Some("steady") => {
-            if operator_fingerprint(&plan, lateral, z) != recorded_key {
-                return false;
-            }
-            engine.cache().steady_operator(&plan, lateral, z);
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Steady);
-            true
-        }
-        Some("spectral") => {
-            let tolerance = match entry.get("tolerance").and_then(from_hex_bits) {
-                Some(t) => t,
-                None => return false,
-            };
-            let (nx, ny) = match infer_grid(&plan) {
-                Ok(grid) => grid,
-                Err(_) => return false,
-            };
-            if spectral_operator_fingerprint(&plan, lateral, z, nx, ny, tolerance) != recorded_key {
-                return false;
-            }
-            if engine
-                .cache()
-                .spectral_operator(&plan, lateral, z, tolerance)
-                .is_err()
-            {
-                return false;
-            }
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Spectral { tolerance });
-            true
-        }
-        Some("transient") => {
-            let dt_s = match entry.get("dt_s").and_then(from_hex_bits) {
-                Some(dt) => dt,
-                None => return false,
-            };
-            let scheme = match entry
-                .get("scheme")
-                .and_then(Json::as_str)
-                .and_then(scheme_from_tag)
-            {
-                Some(scheme) => scheme,
-                None => return false,
-            };
-            // The propagator is keyed on the (cached) steady operator
-            // it factors through, so warm that first.
-            let op = engine.cache().steady_operator(&plan, lateral, z);
-            let caps = silicon_block_capacitances(&plan);
-            if propagator_fingerprint(&op, &caps, dt_s, scheme) != recorded_key {
-                return false;
-            }
-            if engine
-                .cache()
-                .transient_operator(&op, &caps, dt_s, scheme)
-                .is_err()
-            {
-                return false;
-            }
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Transient { dt_s, scheme });
-            true
-        }
-        Some("map") => {
-            let (nx, ny) = match (
-                entry.get("nx").and_then(Json::as_usize),
-                entry.get("ny").and_then(Json::as_usize),
-            ) {
-                (Some(nx), Some(ny)) if nx > 0 && ny > 0 => (nx, ny),
-                _ => return false,
-            };
-            if map_operator_fingerprint(&plan, lateral, z, nx, ny) != recorded_key {
-                return false;
-            }
-            engine.cache().map_operator(&plan, lateral, z, nx, ny);
-            engine.record_recipe(recorded_key, &plan, RecipeKind::Map { nx, ny });
-            true
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -497,6 +397,42 @@ mod tests {
         let report = warm(&fresh, &saved);
         assert_eq!(report.rebuilt, 0);
         assert_eq!(report.skipped, 3);
+    }
+
+    #[test]
+    fn manifest_lists_only_what_the_caches_hold() {
+        // Three floorplans of distinct geometry through one-entry
+        // caches: each steady job evicts its predecessor's operator,
+        // and the recipe goes with it.
+        let request = parse_jsonl(
+            r#"
+{"type": "floorplan", "name": "a", "tiles": {"rows": 1, "cols": 2}}
+{"type": "floorplan", "name": "b", "tiles": {"rows": 2, "cols": 2}}
+{"type": "floorplan", "name": "c", "tiles": {"rows": 2, "cols": 3}}
+{"type": "steady", "floorplan": "a", "dynamic_w": 0.1, "leakage_w": 0.01}
+{"type": "steady", "floorplan": "b", "dynamic_w": 0.1, "leakage_w": 0.01}
+{"type": "steady", "floorplan": "c", "dynamic_w": 0.1, "leakage_w": 0.01}
+"#,
+        )
+        .expect("valid request");
+        let engine = FleetEngineBuilder::new()
+            .threads(1)
+            .cache_capacity(1)
+            .request(&request)
+            .build()
+            .expect("valid configuration");
+        let report = engine.run(&request.jobs);
+        assert_eq!(report.ok_count(), 3);
+        assert_eq!(report.steady_cache.evictions, 2);
+        let entries = |engine: &FleetEngine| {
+            manifest(engine)
+                .get("entries")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len)
+        };
+        assert_eq!(entries(&engine), Some(1), "only the cached operator");
+        engine.cache().evict_all();
+        assert_eq!(entries(&engine), Some(0), "evicted recipes are gone");
     }
 
     #[test]

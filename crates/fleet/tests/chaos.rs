@@ -409,13 +409,13 @@ fn a_panicked_build_releases_its_reservation_and_every_waiter_recovers() {
     // waiters (including the panicked caller, retrying as the fleet
     // would) must still obtain the operator — no deadlock, no poisoned
     // entry, exactly one successful rebuild.
-    let plan = tiled(3, 3, 7);
+    let plan = Arc::new(tiled(3, 3, 7));
     let cache = OperatorCache::new(4);
     let panic_once = AtomicBool::new(true);
     let build_attempts = AtomicUsize::new(0);
     let operators = ptherm_par::par_workers(8, |_| {
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.steady_operator_hooked(&plan, 2, 9, || {
+            cache.steady_operator(&plan, 2, 9, || {
                 build_attempts.fetch_add(1, Ordering::Relaxed);
                 if panic_once.swap(false, Ordering::Relaxed) {
                     panic!("injected fault: builder panic");
@@ -424,7 +424,7 @@ fn a_panicked_build_releases_its_reservation_and_every_waiter_recovers() {
         }));
         match first {
             Ok(op) => op,
-            Err(_) => cache.steady_operator_hooked(&plan, 2, 9, || {
+            Err(_) => cache.steady_operator(&plan, 2, 9, || {
                 build_attempts.fetch_add(1, Ordering::Relaxed);
             }),
         }

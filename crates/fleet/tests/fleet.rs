@@ -6,15 +6,19 @@
 use proptest::prelude::*;
 use ptherm_core::cosim::{ThermalOperator, TransientError};
 use ptherm_fleet::{
-    parse_jsonl, CacheStats, FleetConfig, FleetEngineBuilder, JobReport, Lru, OperatorCache,
+    parse_jsonl, CacheStats, FleetEngineBuilder, FleetReport, JobRecord, JobReport, Lru,
+    OperatorCache,
 };
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_math::ode::ImplicitScheme;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn tiled(rows: usize, cols: usize, seed: u64) -> Floorplan {
-    generator::tiled(ChipGeometry::paper_1mm(), rows, cols, 0.01, 0.05, seed).expect("valid tiling")
+fn tiled(rows: usize, cols: usize, seed: u64) -> Arc<Floorplan> {
+    Arc::new(
+        generator::tiled(ChipGeometry::paper_1mm(), rows, cols, 0.01, 0.05, seed)
+            .expect("valid tiling"),
+    )
 }
 
 #[test]
@@ -100,9 +104,9 @@ fn cross_thread_cache_hits_are_bit_identical_to_a_cold_factorization() {
     let dt = 1e-4;
 
     let results = ptherm_par::par_workers(8, |_| {
-        let op = cache.steady_operator(&plan, 2, 9);
+        let op = cache.steady_operator(&plan, 2, 9, || {});
         let top = cache
-            .transient_operator(&op, &caps, dt, ImplicitScheme::Trapezoidal)
+            .transient_operator(&plan, &op, dt, ImplicitScheme::Trapezoidal)
             .expect("factorable");
         (op, top)
     });
@@ -138,48 +142,46 @@ fn cross_thread_cache_hits_are_bit_identical_to_a_cold_factorization() {
 #[test]
 fn steady_cache_keys_on_geometry_so_power_edits_still_hit() {
     let plan = tiled(2, 2, 3);
-    let mut repowered = plan.clone();
+    let mut repowered = (*plan).clone();
     repowered.set_power(0, 7.0);
+    let repowered = Arc::new(repowered);
     // The full content fingerprint changes with power...
     assert_ne!(plan.fingerprint(), repowered.fingerprint());
     // ...but the operator reads only geometry, so the cache shares one
     // entry between the two (a hit, same Arc).
     let cache = OperatorCache::new(4);
-    let a = cache.steady_operator(&plan, 2, 9);
-    let b = cache.steady_operator(&repowered, 2, 9);
+    let a = cache.steady_operator(&plan, 2, 9, || {});
+    let b = cache.steady_operator(&repowered, 2, 9, || {});
     assert!(Arc::ptr_eq(&a, &b));
     assert_eq!(cache.steady_stats().hits, 1);
     // Different image orders are different keys.
-    let c = cache.steady_operator(&plan, 2, 5);
+    let c = cache.steady_operator(&plan, 2, 5, || {});
     assert!(!Arc::ptr_eq(&a, &c));
     assert_eq!(cache.steady_stats().misses, 2);
 }
 
 #[test]
-fn transient_cache_misses_on_dt_scheme_and_capacitance_changes() {
+fn transient_cache_misses_on_dt_and_scheme_changes() {
     let plan = tiled(2, 2, 5);
     let cache = OperatorCache::new(8);
-    let op = cache.steady_operator(&plan, 2, 9);
-    let caps = ptherm_core::thermal::capacitance::silicon_block_capacitances(&plan);
+    let op = cache.steady_operator(&plan, 2, 9, || {});
     let a = cache
-        .transient_operator(&op, &caps, 1e-4, ImplicitScheme::Trapezoidal)
+        .transient_operator(&plan, &op, 1e-4, ImplicitScheme::Trapezoidal)
         .unwrap();
-    for (dt, scheme, caps_scale) in [
-        (2e-4, ImplicitScheme::Trapezoidal, 1.0),
-        (1e-4, ImplicitScheme::BackwardEuler, 1.0),
-        (1e-4, ImplicitScheme::Trapezoidal, 2.0),
+    for (dt, scheme) in [
+        (2e-4, ImplicitScheme::Trapezoidal),
+        (1e-4, ImplicitScheme::BackwardEuler),
     ] {
-        let scaled: Vec<f64> = caps.iter().map(|c| c * caps_scale).collect();
-        let other = cache.transient_operator(&op, &scaled, dt, scheme).unwrap();
+        let other = cache.transient_operator(&plan, &op, dt, scheme).unwrap();
         assert!(!Arc::ptr_eq(&a, &other));
     }
     // Identical inputs hit.
     let again = cache
-        .transient_operator(&op, &caps, 1e-4, ImplicitScheme::Trapezoidal)
+        .transient_operator(&plan, &op, 1e-4, ImplicitScheme::Trapezoidal)
         .unwrap();
     assert!(Arc::ptr_eq(&a, &again));
     let stats = cache.transient_stats();
-    assert_eq!(stats.misses, 4);
+    assert_eq!(stats.misses, 3);
     assert_eq!(stats.hits, 1);
 }
 
@@ -187,16 +189,64 @@ fn transient_cache_misses_on_dt_scheme_and_capacitance_changes() {
 fn transient_factorization_errors_are_typed_not_cached() {
     let plan = tiled(2, 2, 5);
     let cache = OperatorCache::new(8);
-    let op = cache.steady_operator(&plan, 2, 9);
-    let bad_caps = vec![1.0; op.len() + 1];
+    let op = cache.steady_operator(&plan, 2, 9, || {});
+    // An operator of another floorplan: its block count disagrees with
+    // the capacitances the accessor derives.
+    let other = cache.steady_operator(&tiled(3, 3, 5), 2, 9, || {});
     let err = cache
-        .transient_operator(&op, &bad_caps, 1e-4, ImplicitScheme::Trapezoidal)
+        .transient_operator(&plan, &other, 1e-4, ImplicitScheme::Trapezoidal)
         .unwrap_err();
     assert!(matches!(err, TransientError::DimensionMismatch { .. }));
-    let err = cache
-        .transient_operator(&op, &vec![0.0; op.len()], 1e-4, ImplicitScheme::Trapezoidal)
-        .unwrap_err();
-    assert!(matches!(err, TransientError::BadCapacitance { .. }));
+    // A bad step is typed every time: the failed build cached nothing,
+    // so the second attempt misses again instead of hitting an entry.
+    for _ in 0..2 {
+        let err = cache
+            .transient_operator(&plan, &op, 0.0, ImplicitScheme::Trapezoidal)
+            .unwrap_err();
+        assert!(matches!(err, TransientError::BadStep { .. }));
+    }
+    let stats = cache.transient_stats();
+    assert_eq!(stats.hits, 0);
+    assert_eq!(stats.misses, 3);
+}
+
+#[test]
+fn recorded_recipes_rekey_to_their_fingerprints_and_nothing_else() {
+    let plan = tiled(4, 4, 2);
+    let cache = OperatorCache::new(8);
+    let op = cache.steady_operator(&plan, 2, 9, || {});
+    cache
+        .transient_operator(&plan, &op, 1e-4, ImplicitScheme::Trapezoidal)
+        .unwrap();
+    cache.map_operator(&plan, 2, 9, 8, 8);
+    cache
+        .spectral_operator(&plan, 2, 9, 1e-6, || {})
+        .expect("on grid");
+    let recipes = cache.recipes();
+    assert_eq!(recipes.len(), 4, "one recipe per cached operator");
+    let keys: Vec<u64> = recipes.iter().map(|(key, _)| *key).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "fingerprint order");
+
+    // Under other image orders every recipe keys elsewhere: stale, and
+    // rejected before anything is built.
+    let fresh = OperatorCache::new(8);
+    for (fingerprint, recipe) in &recipes {
+        assert!(!fresh.warm(*fingerprint, recipe, 2, 5), "{:?}", recipe.kind);
+    }
+    let misses = |c: &OperatorCache| {
+        c.steady_stats().misses
+            + c.transient_stats().misses
+            + c.map_stats().misses
+            + c.spectral_stats().misses
+    };
+    assert_eq!(misses(&fresh), 0);
+    // Under the recording orders each recipe rekeys to its fingerprint,
+    // and warming rebuilds exactly the entries the source cache held.
+    for (fingerprint, recipe) in &recipes {
+        assert!(fresh.warm(*fingerprint, recipe, 2, 9), "{:?}", recipe.kind);
+    }
+    let rewarmed: Vec<u64> = fresh.recipes().iter().map(|(key, _)| *key).collect();
+    assert_eq!(rewarmed, keys);
 }
 
 const FLEET_REQUEST: &str = r#"
@@ -212,24 +262,52 @@ const FLEET_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "c", "dynamic_w": 0.1, "leakage_w": 0.01, "activities": [0.5, 1.0]}
 "#;
 
-fn run_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(FLEET_REQUEST).expect("valid request");
-    let config = FleetConfig {
-        threads,
-        amortize,
-        ..FleetConfig::default()
-    };
+/// Runs every job of `text` on one shared engine with `threads`
+/// workers.
+fn run(text: &str, threads: usize) -> FleetReport {
+    let request = parse_jsonl(text).expect("valid request");
     let engine = FleetEngineBuilder::new()
-        .config(config)
+        .threads(threads)
         .request(&request)
         .build()
         .expect("valid configuration");
     engine.run(&request.jobs)
 }
 
-fn assert_reports_bit_identical(a: &ptherm_fleet::FleetReport, b: &ptherm_fleet::FleetReport) {
-    assert_eq!(a.jobs.len(), b.jobs.len());
-    for (x, y) in a.jobs.iter().zip(&b.jobs) {
+fn run_fleet(threads: usize) -> FleetReport {
+    run(FLEET_REQUEST, threads)
+}
+
+/// The cold reference: every job of `text` on its own fresh engine, so
+/// no job reuses another's operators. Each engine's caches must report
+/// zero hits — the reference pays for everything it uses.
+fn run_cold(text: &str) -> Vec<JobRecord> {
+    let request = parse_jsonl(text).expect("valid request");
+    let mut records = Vec::new();
+    for (index, job) in request.jobs.iter().enumerate() {
+        let engine = FleetEngineBuilder::new()
+            .threads(1)
+            .request(&request)
+            .build()
+            .expect("valid configuration");
+        records.push(engine.run_one(job, index));
+        let cache = engine.cache();
+        for stats in [
+            cache.steady_stats(),
+            cache.transient_stats(),
+            cache.map_stats(),
+            cache.spectral_stats(),
+            cache.result_stats(),
+        ] {
+            assert_eq!(stats.hits, 0, "job {index}'s reference engine hit a cache");
+        }
+    }
+    records
+}
+
+fn assert_reports_bit_identical(a: &[JobRecord], b: &[JobRecord]) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
         assert_eq!(x.index, y.index);
         match (&x.outcome, &y.outcome) {
             (Ok(JobReport::Steady(p)), Ok(JobReport::Steady(q))) => {
@@ -252,20 +330,20 @@ fn assert_reports_bit_identical(a: &ptherm_fleet::FleetReport, b: &ptherm_fleet:
 
 #[test]
 fn fleet_results_are_independent_of_thread_count() {
-    let serial = run_fleet(1, true);
+    let serial = run_fleet(1);
     assert_eq!(serial.jobs.len(), 7);
     assert_eq!(serial.ok_count(), 7);
     for threads in [2, 8] {
-        let parallel = run_fleet(threads, true);
-        assert_reports_bit_identical(&serial, &parallel);
+        let parallel = run_fleet(threads);
+        assert_reports_bit_identical(&serial.jobs, &parallel.jobs);
     }
 }
 
 #[test]
 fn cache_amortization_is_bitwise_invisible_in_results() {
-    let amortized = run_fleet(4, true);
-    let factor_per_job = run_fleet(4, false);
-    assert_reports_bit_identical(&amortized, &factor_per_job);
+    let amortized = run_fleet(4);
+    let factor_per_job = run_cold(FLEET_REQUEST);
+    assert_reports_bit_identical(&amortized.jobs, &factor_per_job);
     // But very visible in the counters: 3 distinct floorplans at one
     // image-order config = 3 steady builds; 4 steady-operator lookups
     // come from the 4 steady jobs and 3 more from the transient jobs
@@ -275,9 +353,6 @@ fn cache_amortization_is_bitwise_invisible_in_results() {
     assert_eq!(stats.hits + stats.misses, 7);
     // Transients: 3 distinct (floorplan, caps, dt, scheme) keys.
     assert_eq!(amortized.transient_cache.misses, 3);
-    // The cold run caches nothing.
-    assert_eq!(factor_per_job.steady_cache.hits, 0);
-    assert_eq!(factor_per_job.steady_cache.misses, 0);
 }
 
 #[test]
@@ -305,7 +380,7 @@ fn unknown_floorplan_is_a_per_job_error_not_a_panic() {
 
 #[test]
 fn result_lines_render_valid_json() {
-    let report = run_fleet(2, true);
+    let report = run_fleet(2);
     let request = parse_jsonl(FLEET_REQUEST).unwrap();
     for record in &report.jobs {
         let line = record.to_json(&request.jobs[record.index]).render();
@@ -324,24 +399,13 @@ const MAP_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "a", "dynamic_w": 0.3, "leakage_w": 0.03}
 "#;
 
-fn run_map_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(MAP_REQUEST).expect("valid request");
-    let config = FleetConfig {
-        threads,
-        amortize,
-        ..FleetConfig::default()
-    };
-    let engine = FleetEngineBuilder::new()
-        .config(config)
-        .request(&request)
-        .build()
-        .expect("valid configuration");
-    engine.run(&request.jobs)
+fn run_map_fleet(threads: usize) -> FleetReport {
+    run(MAP_REQUEST, threads)
 }
 
 #[test]
 fn map_jobs_run_end_to_end_and_amortize_the_kernel_cache() {
-    let amortized = run_map_fleet(4, true);
+    let amortized = run_map_fleet(4);
     assert_eq!(amortized.ok_count(), 4);
     // Two map jobs share floorplan "a" at the same 16x16 grid: one
     // kernel build, one hit; floorplan "b" at 12x10 is its own build.
@@ -367,22 +431,20 @@ fn map_jobs_run_end_to_end_and_amortize_the_kernel_cache() {
         }
     }
     // Amortization is bitwise invisible in the results themselves.
-    let cold = run_map_fleet(4, false);
-    assert_reports_bit_identical(&amortized, &cold);
-    assert_eq!(cold.map_cache, CacheStats::default());
+    assert_reports_bit_identical(&amortized.jobs, &run_cold(MAP_REQUEST));
 }
 
 #[test]
 fn map_fleet_results_are_independent_of_thread_count() {
-    let serial = run_map_fleet(1, true);
+    let serial = run_map_fleet(1);
     for threads in [2, 8] {
-        assert_reports_bit_identical(&serial, &run_map_fleet(threads, true));
+        assert_reports_bit_identical(&serial.jobs, &run_map_fleet(threads).jobs);
     }
 }
 
 #[test]
 fn map_result_lines_carry_the_grid() {
-    let report = run_map_fleet(2, true);
+    let report = run_map_fleet(2);
     let request = parse_jsonl(MAP_REQUEST).unwrap();
     for record in &report.jobs {
         let line = record.to_json(&request.jobs[record.index]).render();
@@ -409,9 +471,9 @@ fn map_cache_keys_on_geometry_grid_and_orders() {
     let cache = OperatorCache::new(8);
     let a = cache.map_operator(&plan, 2, 9, 8, 8);
     // Power edits still hit (the kernel is power-blind).
-    let mut repowered = plan.clone();
+    let mut repowered = (*plan).clone();
     repowered.set_power(0, 7.0);
-    let b = cache.map_operator(&repowered, 2, 9, 8, 8);
+    let b = cache.map_operator(&Arc::new(repowered), 2, 9, 8, 8);
     assert!(Arc::ptr_eq(&a, &b));
     // Grid dims and image orders are part of the key.
     for (lat, z, nx, ny) in [(2, 9, 8, 16), (2, 9, 16, 8), (1, 9, 8, 8), (2, 5, 8, 8)] {
@@ -430,25 +492,14 @@ const SPECTRAL_REQUEST: &str = r#"
 {"type": "steady", "floorplan": "g", "dynamic_w": 0.3, "leakage_w": 0.03, "backend": "dense", "vdd_scales": [0.9, 1.0, 1.1]}
 "#;
 
-fn run_spectral_fleet(threads: usize, amortize: bool) -> ptherm_fleet::FleetReport {
-    let request = parse_jsonl(SPECTRAL_REQUEST).expect("valid request");
-    let config = FleetConfig {
-        threads,
-        amortize,
-        ..FleetConfig::default()
-    };
-    let engine = FleetEngineBuilder::new()
-        .config(config)
-        .request(&request)
-        .build()
-        .expect("valid configuration");
-    engine.run(&request.jobs)
+fn run_spectral_fleet(threads: usize) -> FleetReport {
+    run(SPECTRAL_REQUEST, threads)
 }
 
 #[test]
 fn spectral_jobs_are_bitwise_invariant_across_cache_state_and_threads() {
     use ptherm_core::cosim::SweepBackend;
-    let cached = run_spectral_fleet(1, true);
+    let cached = run_spectral_fleet(1);
     assert_eq!(cached.ok_count(), 3);
     // The two identical spectral jobs share one cached build; the dense
     // job never touches the spectral cache.
@@ -464,16 +515,10 @@ fn spectral_jobs_are_bitwise_invariant_across_cache_state_and_threads() {
         panic!("steady spectral jobs")
     };
     assert_eq!(a.outcomes, b.outcomes);
-    // ...and cold (per-job build) and threaded runs are bitwise equal
+    // ...and cold (per-job engine) and threaded runs are bitwise equal
     // to the cached serial run.
-    for report in [
-        run_spectral_fleet(1, false),
-        run_spectral_fleet(4, true),
-        run_spectral_fleet(4, false),
-    ] {
-        assert_reports_bit_identical(&cached, &report);
-    }
-    assert_eq!(run_spectral_fleet(1, false).spectral_cache.misses, 0);
+    assert_reports_bit_identical(&cached.jobs, &run_cold(SPECTRAL_REQUEST));
+    assert_reports_bit_identical(&cached.jobs, &run_spectral_fleet(4).jobs);
     // Result lines carry the backend that actually ran.
     let request = parse_jsonl(SPECTRAL_REQUEST).unwrap();
     let line = cached.jobs[0].to_json(&request.jobs[0]).render();
@@ -486,18 +531,20 @@ fn spectral_jobs_are_bitwise_invariant_across_cache_state_and_threads() {
 fn spectral_cache_keys_on_grid_orders_and_tolerance() {
     let plan = tiled(4, 4, 2);
     let cache = OperatorCache::new(8);
-    let a = cache.spectral_operator(&plan, 2, 9, 1e-6).expect("on grid");
+    let a = cache
+        .spectral_operator(&plan, 2, 9, 1e-6, || {})
+        .expect("on grid");
     // Power edits still hit (rasterization and refinement are per-watt).
-    let mut repowered = plan.clone();
+    let mut repowered = (*plan).clone();
     repowered.set_power(0, 7.0);
     let b = cache
-        .spectral_operator(&repowered, 2, 9, 1e-6)
+        .spectral_operator(&Arc::new(repowered), 2, 9, 1e-6, || {})
         .expect("on grid");
     assert!(Arc::ptr_eq(&a, &b));
     // Image orders and the refinement tolerance are part of the key.
     for (lat, z, tol) in [(1, 9, 1e-6), (2, 5, 1e-6), (2, 9, 1e-3)] {
         let other = cache
-            .spectral_operator(&plan, lat, z, tol)
+            .spectral_operator(&plan, lat, z, tol, || {})
             .expect("on grid");
         assert!(!Arc::ptr_eq(&a, &other), "({lat},{z},{tol})");
     }
@@ -505,8 +552,10 @@ fn spectral_cache_keys_on_grid_orders_and_tolerance() {
     assert_eq!(stats.hits, 1);
     assert_eq!(stats.misses, 4);
     // An off-grid floorplan is a typed error and caches nothing.
-    let offgrid = Floorplan::paper_three_blocks();
-    assert!(cache.spectral_operator(&offgrid, 2, 9, 1e-6).is_err());
+    let offgrid = Arc::new(Floorplan::paper_three_blocks());
+    assert!(cache
+        .spectral_operator(&offgrid, 2, 9, 1e-6, || {})
+        .is_err());
     assert_eq!(cache.spectral_stats().misses, 4);
 }
 
