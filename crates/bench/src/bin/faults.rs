@@ -2,9 +2,10 @@
 //! machinery, and the isolation audit, emitting `BENCH_faults.json`.
 //!
 //! Two runs of one synthetic mixed fleet (distinct floorplans, steady +
-//! transient jobs): a **fault-free** run, then a **chaos** run under a
-//! deterministic [`FaultPlan`] scattering one fault per eight jobs
-//! across the retryable / panic / delay classes. Audits:
+//! transient jobs), repeated with their order alternating: a
+//! **fault-free** run and a **chaos** run under a deterministic
+//! [`FaultPlan`] scattering one fault per eight jobs across the
+//! retryable / panic / delay classes. Audits:
 //!
 //! * every *non-faulted* job's result line must be bitwise identical
 //!   (wall time normalized) between the two runs — a panicking or
@@ -15,7 +16,8 @@
 //!   fault-free, bitwise identical to the baseline (zero residual cache
 //!   poisoning);
 //! * **recovery overhead**: summed wall time of the non-faulted jobs in
-//!   the chaos run vs the fault-free run, gated at ≤5% in full mode
+//!   the chaos run vs the fault-free run, each side's best of 7 repeats,
+//!   gated at ≤5% in full mode
 //!   (`docs/PERFORMANCE.md` documents the schema, `ci/bench_bounds.*`
 //!   gate it).
 //!
@@ -170,7 +172,7 @@ fn bench(quick: bool) -> i32 {
             tile_rows: 4,
             tile_cols: 4,
             jobs_per_floorplan: 12,
-            repeats: 3,
+            repeats: 7,
             overhead_bar: 1.05,
             label: "8 floorplans x 16 blocks, 96 mixed jobs",
         }
@@ -202,46 +204,46 @@ fn bench(quick: bool) -> i32 {
         .filter(|f| matches!(f, Some(Fault::TransientFault)))
         .count();
 
-    // --- fault-free baseline ---------------------------------------------
-    // Fresh engines every repeat (cold caches on both sides); the
-    // overhead ratio takes each side's fastest repeat, which is the
-    // standard defence against scheduler noise on small jobs.
-    let mut free_wall_s = f64::INFINITY;
-    let mut free_unfaulted_s = f64::INFINITY;
-    let mut baseline: Option<FleetReport> = None;
-    for _ in 0..cfg.repeats {
-        let engine = build_engine(&floorplans, threads);
-        let t0 = Instant::now();
-        let report = engine.run(&jobs);
-        free_wall_s = free_wall_s.min(t0.elapsed().as_secs_f64());
-        free_unfaulted_s = free_unfaulted_s.min(unfaulted_wall_s(&report, &plan));
-        baseline = Some(report);
-    }
-    let baseline = baseline.expect("at least one repeat");
-    let baseline_lines = normalized_lines(&baseline, &jobs);
-
-    // --- chaos run --------------------------------------------------------
-    // The injected panics are expected; keep their backtraces out of the
-    // bench transcript. `catch_unwind` in the engine still sees them.
+    // --- fault-free baseline and chaos run ---------------------------------
+    // Fresh engines every run (cold caches on both sides). Within each
+    // repeat the two sides alternate which runs first, so a drift in
+    // machine speed lands on both, and the overhead ratio takes each
+    // side's fastest repeat, the standard defence against scheduler noise
+    // on small jobs. The injected panics are expected; keep their
+    // backtraces out of the bench transcript. `catch_unwind` in the engine
+    // still sees them.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut chaos_wall_s = f64::INFINITY;
-    let mut chaos_unfaulted_s = f64::INFINITY;
-    let mut chaos: Option<FleetReport> = None;
-    let mut drained: Option<FleetReport> = None;
-    for _ in 0..cfg.repeats {
-        let mut engine = build_engine(&floorplans, threads);
-        engine.set_faults(Some(plan.clone()));
-        let t0 = Instant::now();
-        let report = engine.run(&jobs);
-        chaos_wall_s = chaos_wall_s.min(t0.elapsed().as_secs_f64());
-        chaos_unfaulted_s = chaos_unfaulted_s.min(unfaulted_wall_s(&report, &plan));
-        chaos = Some(report);
-        // Residual-poisoning probe: the same engine, faults cleared.
-        engine.set_faults(None);
-        drained = Some(engine.run(&jobs));
+    let (mut free_wall_s, mut free_unfaulted_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut chaos_wall_s, mut chaos_unfaulted_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut baseline, mut chaos, mut drained) = (None, None, None);
+    for repeat in 0..cfg.repeats {
+        for under_chaos in [repeat % 2 == 1, repeat % 2 == 0] {
+            let mut engine = build_engine(&floorplans, threads);
+            if under_chaos {
+                engine.set_faults(Some(plan.clone()));
+            }
+            let t0 = Instant::now();
+            let report = engine.run(&jobs);
+            let wall_s = t0.elapsed().as_secs_f64();
+            let unfaulted_s = unfaulted_wall_s(&report, &plan);
+            if under_chaos {
+                chaos_wall_s = chaos_wall_s.min(wall_s);
+                chaos_unfaulted_s = chaos_unfaulted_s.min(unfaulted_s);
+                chaos = Some(report);
+                // Residual-poisoning probe: the same engine, faults cleared.
+                engine.set_faults(None);
+                drained = Some(engine.run(&jobs));
+            } else {
+                free_wall_s = free_wall_s.min(wall_s);
+                free_unfaulted_s = free_unfaulted_s.min(unfaulted_s);
+                baseline = Some(report);
+            }
+        }
     }
     std::panic::set_hook(default_hook);
+    let baseline = baseline.expect("at least one repeat");
+    let baseline_lines = normalized_lines(&baseline, &jobs);
     let chaos = chaos.expect("at least one repeat");
     let chaos_lines = normalized_lines(&chaos, &jobs);
     let drained_lines = normalized_lines(&drained.expect("at least one repeat"), &jobs);

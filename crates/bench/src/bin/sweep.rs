@@ -15,6 +15,11 @@
 //!    step through one `n×n · n×B` product, lane refill, batched
 //!    exponentials.
 //!
+//! A fourth case times a fleet-sized 12-scenario grid at the default
+//! `batch_lanes(64)` against `batch_lanes(12)`: the engine sizes its
+//! panels to the work, so the configured width must cost nothing
+//! (`small_grid_width_ratio`, gated at ≤ 1.2).
+//!
 //! Audits: batched outcomes must match the per-scenario oracle within the
 //! ULP contract of `ptherm_core::cosim::batch` (same iteration counts,
 //! ~1e-9 K), and the oracle must match the cold reference to rounding
@@ -164,6 +169,40 @@ fn main() {
     let speedup_vs_oracle = batched_throughput / oracle_throughput;
     let speedup_vs_cold = batched_throughput / cold_throughput;
 
+    // --- small grid: configured width vs exact width ------------------
+    // Interleaved best-of-N so both widths see the same machine state.
+    const SMALL_GRID_RUNS: usize = 50;
+    let small_grid = ScenarioGrid::new(grid.technologies()[..1].to_vec())
+        .vdd_scales(vec![0.9, 1.0, 1.1])
+        .activities(vec![0.25, 0.5, 0.75, 1.0]);
+    let small_scenarios = small_grid.len();
+    let small_model = engine
+        .uniform_tech_power(0.45, 0.04)
+        .prepared_for(&small_grid);
+    let exact_engine = SweepEngine::new(floorplan.clone())
+        .threads(threads)
+        .batch_lanes(small_scenarios);
+    let dense = engine.shared_operator();
+    let small_sweep = |e: &SweepEngine| {
+        let t0 = Instant::now();
+        let report = e.sweep(
+            &small_grid,
+            &small_model,
+            RunOptions::new().operator(&dense),
+        );
+        (t0.elapsed().as_nanos() as u64, report)
+    };
+    let (mut small_wide_ns, mut small_exact_ns) = (u64::MAX, u64::MAX);
+    let mut small_bitwise = true;
+    for _ in 0..SMALL_GRID_RUNS {
+        let (wide_ns, wide) = small_sweep(&engine);
+        let (exact_ns, exact) = small_sweep(&exact_engine);
+        small_wide_ns = small_wide_ns.min(wide_ns);
+        small_exact_ns = small_exact_ns.min(exact_ns);
+        small_bitwise &= wide.outcomes == exact.outcomes;
+    }
+    let small_width_ratio = small_wide_ns as f64 / small_exact_ns as f64;
+
     let mut out = Table::new([
         "configuration",
         "scenarios",
@@ -204,6 +243,11 @@ fn main() {
     println!(
         "sweep outcome: {batched_report} (peak {:.1} K)",
         batched_report.max_peak_temperature().unwrap_or(f64::NAN)
+    );
+    println!(
+        "{small_scenarios}-scenario grid: {:.1} us at {lanes} lanes, {:.1} us at {small_scenarios} lanes ({small_width_ratio:.2}x)",
+        small_wide_ns as f64 / 1e3,
+        small_exact_ns as f64 / 1e3,
     );
 
     // --- audits ----------------------------------------------------------
@@ -278,7 +322,11 @@ fn main() {
         .number("speedup_batched_vs_per_scenario", speedup_vs_oracle)
         .number("speedup_batched_vs_rebuilding", speedup_vs_cold)
         .number("max_temp_gap_vs_oracle_k", max_gap_oracle)
-        .number("max_temp_gap_oracle_vs_rebuilding_k", max_gap_cold);
+        .number("max_temp_gap_oracle_vs_rebuilding_k", max_gap_cold)
+        .integer("small_grid_scenarios", small_scenarios as u64)
+        .integer("small_grid_wide_ns", small_wide_ns)
+        .integer("small_grid_exact_ns", small_exact_ns)
+        .number("small_grid_width_ratio", small_width_ratio);
     // Quick mode defaults to its own file so a smoke run never clobbers
     // the checked-in full-mode baseline.
     let default_path = if quick {
@@ -330,6 +378,11 @@ fn main() {
             "oracle matches the rebuilding reference to rounding error",
             max_gap_cold < 1e-6,
             format!("max block-temperature gap {max_gap_cold:.2e} K"),
+        ),
+        ShapeCheck::new(
+            format!("small-grid outcomes are bitwise equal at {lanes} and {small_scenarios} lanes"),
+            small_bitwise,
+            format!("{small_scenarios} scenarios, {SMALL_GRID_RUNS} interleaved runs per width"),
         ),
         ShapeCheck::new(
             "threaded operator build is bit-identical to serial",

@@ -348,3 +348,19 @@ fn benchcheck_missing_inputs_are_failing_checks_not_vacuous_passes() {
     assert_eq!(code, 1, "{stdout}");
     assert!(stdout.contains("artifact missing or unreadable"));
 }
+
+#[test]
+fn every_full_mode_bound_names_a_checked_in_baseline() {
+    // Full-mode baselines are never regenerated in CI, so a bounds entry
+    // whose artifact was never checked in fails the gate on every run.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("ci/bench_bounds.full.json")).unwrap();
+    let specs = parse_bounds(&text).unwrap();
+    assert!(!specs.is_empty());
+    let missing: Vec<&str> = specs
+        .iter()
+        .map(|spec| spec.file.as_str())
+        .filter(|file| !root.join(file).is_file())
+        .collect();
+    assert!(missing.is_empty(), "no checked-in baseline for {missing:?}");
+}

@@ -18,7 +18,10 @@
 //! away or trips the power guard it is retired — dropping out of the
 //! per-lane bookkeeping — and the lane is immediately reloaded with the
 //! next pending scenario, keeping the batch dense until the sweep runs
-//! dry.
+//! dry. Once it has, and at most half the lanes are still live, the
+//! panel **shrinks**: live lanes pack into the leading columns and every
+//! panel narrows to the live count, so a draining batch stops paying
+//! power evaluations, GEMM columns and updates for retired lanes.
 //!
 //! # Numerical contract
 //!
@@ -89,18 +92,28 @@ impl LaneStart {
 ///
 /// The solver drives the model through three calls: [`Self::begin_lane`]
 /// when a scenario is loaded into a lane, [`Self::fill_powers`] once per
-/// Picard step (full batch width — retired lanes may hold stale state
-/// and their outputs are ignored), and [`Self::lane_power`] to refresh a
-/// converged lane's powers at its final temperatures (this one must match
-/// the per-scenario oracle's power model exactly, since the oracle's
-/// reported powers come from a plain scalar call).
+/// Picard step (over the whole panel it is handed — retired lanes may
+/// hold stale state and their outputs are ignored), and
+/// [`Self::lane_power`] to refresh a converged lane's powers at its final
+/// temperatures (this one must match the per-scenario oracle's power
+/// model exactly, since the oracle's reported powers come from a plain
+/// scalar call).
+///
+/// The width a model is built for is a capacity, not the panel width:
+/// a draining batch narrows its panels and moves live lanes into the
+/// leading columns, reloading each moved lane through
+/// [`Self::begin_lane`]. Loading must therefore depend only on the
+/// scenario id, never on what the lane held before.
 pub trait BatchPowerModel {
     /// Loads scenario `id` (the caller's index) into `lane`.
     fn begin_lane(&mut self, lane: usize, id: usize);
 
-    /// Writes `powers[block][lane]` from `temps[block][lane]` for the
-    /// whole batch. Lanes that never saw [`Self::begin_lane`] may be
-    /// skipped; outputs of retired lanes are ignored.
+    /// Writes `powers[block][lane]` from `temps[block][lane]` for every
+    /// lane of the panel. The panel width (`temps.lanes()`) never
+    /// exceeds the width the model was built for and may change between
+    /// calls, so lane loops and scratch follow it. Lanes that never saw
+    /// [`Self::begin_lane`] may be skipped; outputs of retired lanes are
+    /// ignored.
     fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec);
 
     /// Scalar power of `block` at temperature `t` for the scenario
@@ -158,7 +171,7 @@ impl<F: Fn(usize, usize, f64) -> f64> BatchPowerModel for FnBatchPower<F> {
 
     fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
         for i in 0..temps.rows() {
-            for (j, id) in self.lane_id.iter().enumerate() {
+            for (j, id) in self.lane_id.iter().take(temps.lanes()).enumerate() {
                 if let Some(id) = id {
                     let p = (self.f)(*id, i, temps.get(i, j));
                     powers.set(i, j, p);
@@ -200,8 +213,13 @@ impl BatchWorkspace {
         BatchWorkspace::default()
     }
 
-    fn reset(&mut self, blocks: usize, lanes: usize) {
+    /// Sizes every panel to `blocks × lanes`. Temperatures start at the
+    /// sink, `sink_k`: a lane no scenario ever loads still flows through
+    /// the power model, and at 0 K its Eq. 13 exponents are `0·(1/0)`,
+    /// NaNs that send the whole panel through `expv`'s scalar fix-up.
+    fn reset(&mut self, blocks: usize, lanes: usize, sink_k: f64) {
         self.temps.reset(blocks, lanes);
+        self.temps.as_mut_slice().fill(sink_k);
         self.powers.reset(blocks, lanes);
         self.fresh.reset(blocks, lanes);
         self.ambient.clear();
@@ -220,6 +238,55 @@ impl BatchWorkspace {
         self.lane_iter.resize(lanes, 0);
         self.alive.clear();
         self.alive.resize(lanes, false);
+    }
+
+    /// Packs the in-flight lanes into the leading columns, in column
+    /// order, and narrows every panel and per-lane vector to the live
+    /// count. Each lane that moves is reloaded into `model` at its new
+    /// column. Per-lane state moves with the lane, so no lane's
+    /// arithmetic changes.
+    fn narrow<M: BatchPowerModel + ?Sized>(&mut self, model: &mut M) {
+        let live = self.alive.iter().filter(|&&alive| alive).count();
+        // `fresh` is free between steps: gather the live temperature
+        // columns into it and swap it in.
+        let blocks = self.temps.rows();
+        self.fresh.reset(blocks, live);
+        for i in 0..blocks {
+            let from = self.temps.component(i).iter().zip(&self.alive);
+            let live_temps = from.filter_map(|(&t, &alive)| alive.then_some(t));
+            for (to, t) in self.fresh.component_mut(i).iter_mut().zip(live_temps) {
+                *to = t;
+            }
+        }
+        std::mem::swap(&mut self.temps, &mut self.fresh);
+        self.fresh.reset(blocks, live);
+        self.powers.reset(blocks, live);
+        let mut to = 0;
+        for from in 0..self.alive.len() {
+            if !self.alive[from] {
+                continue;
+            }
+            if from != to {
+                self.ambient[to] = self.ambient[from];
+                self.lane_id[to] = self.lane_id[from];
+                self.lane_iter[to] = self.lane_iter[from];
+                model.begin_lane(to, self.lane_id[to]);
+            }
+            to += 1;
+        }
+        for v in [
+            &mut self.ambient,
+            &mut self.delta,
+            &mut self.peak,
+            &mut self.power_min,
+            &mut self.power_poison,
+        ] {
+            v.truncate(live);
+        }
+        self.lane_id.truncate(live);
+        self.lane_iter.truncate(live);
+        self.alive.clear();
+        self.alive.resize(live, true);
     }
 }
 
@@ -297,12 +364,19 @@ impl<'a> BatchedSolver<'a> {
     }
 
     /// The streaming entry point: pulls [`LaneStart`]s from `source`
-    /// into `lanes` solver lanes (clamped to at least 1, so no scenario
-    /// can be silently dropped), advances the whole batch one Picard
-    /// step at a time, and hands each retired scenario to `sink` as
-    /// soon as it resolves. Lanes are refilled immediately, so the
+    /// into at most `lanes` solver lanes (clamped to at least 1, so no
+    /// scenario can be silently dropped), advances the whole batch one
+    /// Picard step at a time, and hands each retired scenario to `sink`
+    /// as soon as it resolves. Lanes are refilled immediately, so the
     /// batch stays dense until `source` is exhausted; each worker of a
     /// parallel sweep runs one `drive` against a shared atomic source.
+    ///
+    /// `lanes` is the starting panel width, not a fixed one. A lane no
+    /// scenario has loaded yet idles at the floorplan's sink
+    /// temperature. Once `source` returns `None` and at most half the
+    /// lanes are live, the panel shrinks to the live count (see the
+    /// [module docs](self)); it never widens again. Outcomes do not
+    /// depend on the width or on when it shrinks.
     ///
     /// A `None` from `source` is not final: the source is re-polled on
     /// every later iteration with a free lane, so a source may withhold
@@ -355,10 +429,14 @@ pub(crate) fn drive_picard<M: BatchPowerModel + ?Sized>(
     sink: &mut dyn FnMut(usize, SweepOutcome),
     apply: &mut dyn FnMut(&MultiVec, &mut MultiVec, &[bool]),
 ) {
-    let lanes = lanes.max(1);
-    ws.reset(blocks, lanes);
+    ws.reset(
+        blocks,
+        lanes.max(1),
+        solver.floorplan().geometry().sink_temperature,
+    );
     let mut pending = 0usize;
     loop {
+        let lanes = ws.alive.len();
         // Cooperative-cancellation checkpoint: exactly one poll per
         // Picard iteration (shared by the dense and spectral backends).
         // Live lanes retire as Cancelled carrying their iteration
@@ -383,6 +461,7 @@ pub(crate) fn drive_picard<M: BatchPowerModel + ?Sized>(
         // round, not the drive: a source may hold a scenario back until
         // an earlier one retires, so it is re-polled each iteration as
         // long as anything is in flight.
+        let mut dry = false;
         for lane in 0..lanes {
             if ws.alive[lane] {
                 continue;
@@ -407,11 +486,19 @@ pub(crate) fn drive_picard<M: BatchPowerModel + ?Sized>(
                     model.begin_lane(lane, start.id);
                     pending += 1;
                 }
-                None => break,
+                None => {
+                    dry = true;
+                    break;
+                }
             }
         }
         if pending == 0 {
             return;
+        }
+        // Nothing left to refill with and at most half the panel live:
+        // stop paying every later step for the retired columns.
+        if dry && 2 * pending <= lanes {
+            ws.narrow(model);
         }
         step_picard(solver, blocks, model, ws, sink, &mut pending, apply);
     }
@@ -937,6 +1024,121 @@ mod tests {
         );
         assert!(done0);
         assert_eq!(resolved, 2, "the withheld successor must still run");
+    }
+
+    /// Wraps [`FnBatchPower`] and logs every panel it is handed.
+    struct Recording<F> {
+        inner: FnBatchPower<F>,
+        widths: Vec<usize>,
+        temps: Vec<f64>,
+    }
+
+    impl<F: Fn(usize, usize, f64) -> f64> Recording<F> {
+        fn new(f: F) -> Self {
+            Recording {
+                inner: FnBatchPower::new(f),
+                widths: Vec::new(),
+                temps: Vec::new(),
+            }
+        }
+    }
+
+    impl<F: Fn(usize, usize, f64) -> f64> BatchPowerModel for Recording<F> {
+        fn begin_lane(&mut self, lane: usize, id: usize) {
+            self.inner.begin_lane(lane, id);
+        }
+
+        fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
+            self.widths.push(temps.lanes());
+            self.temps.extend_from_slice(temps.as_slice());
+            self.inner.fill_powers(temps, powers);
+        }
+
+        fn lane_power(&self, lane: usize, block: usize, t: f64) -> Option<f64> {
+            self.inner.lane_power(lane, block, t)
+        }
+    }
+
+    /// Drives `total` cold scenarios at 300 K through `lanes` lanes,
+    /// returning the outcomes in id order.
+    fn drive_recorded<F: Fn(usize, usize, f64) -> f64>(
+        lanes: usize,
+        total: usize,
+        model: &mut Recording<F>,
+        cancel: Option<&CancelToken>,
+    ) -> Vec<SweepOutcome> {
+        let s = solver();
+        let op = s.operator();
+        let mut out: Vec<Option<SweepOutcome>> = (0..total).map(|_| None).collect();
+        let mut next = 0usize;
+        BatchedSolver::new(&s, &op).drive(
+            lanes,
+            model,
+            &mut BatchWorkspace::new(),
+            cancel,
+            &mut || {
+                (next < total).then(|| {
+                    next += 1;
+                    LaneStart::cold(next - 1, 300.0)
+                })
+            },
+            &mut |id, o| out[id] = Some(o),
+        );
+        out.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn unloaded_lanes_idle_at_the_sink_not_at_zero_kelvin() {
+        // An idle lane at 0 K puts `0·(1/0) = NaN` into every Eq. 13
+        // exponent of its column. Three scenarios narrow the panel
+        // before the first step; five keep three lanes that no scenario
+        // ever loads.
+        for total in [3, 5] {
+            let mut model = Recording::new(|id, _b, _t| 0.1 * (id + 1) as f64);
+            let got = drive_recorded(8, total, &mut model, None);
+            assert!(got.iter().all(SweepOutcome::is_converged));
+            assert!(!model.temps.is_empty());
+            assert!(
+                model.temps.iter().all(|t| t.is_finite() && *t > 0.0),
+                "{total} scenarios in 8 lanes: a power panel held a non-physical temperature"
+            );
+        }
+    }
+
+    #[test]
+    fn a_draining_batch_narrows_to_its_live_lanes_with_unchanged_outcomes() {
+        // The loop gain rises with `id`: ids 0–4 converge after 7 to
+        // 150 iterations and 5–7 run away, so lanes retire far apart
+        // and the panel narrows as they do.
+        let f = |id: usize, _b: usize, t: f64| 0.1 + 0.015 * id as f64 * (t - 300.0);
+        let mut narrow = Recording::new(f);
+        let want = drive_recorded(1, 8, &mut narrow, None);
+        let mut wide = Recording::new(f);
+        assert_eq!(drive_recorded(8, 8, &mut wide, None), want);
+        assert_eq!(wide.widths.first(), Some(&8));
+        assert!(wide.widths.windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(wide.widths.last(), Some(&1));
+    }
+
+    #[test]
+    fn a_cancel_after_a_narrowing_retires_each_lane_with_its_own_count() {
+        // Ids 0–2 have no power and converge in one step; 3 and 4 take
+        // many. Step 1 runs 4 lanes (ids 0–3). Step 2 loads id 4, finds
+        // the source dry with two lanes live and narrows to 2, moving id
+        // 3 from column 3 to column 1. The third poll cancels.
+        let f = |id: usize, _b: usize, _t: f64| if id < 3 { 0.0 } else { 0.5 };
+        let mut model = Recording::new(f);
+        let token = CancelToken::after_checks(2);
+        let got = drive_recorded(4, 5, &mut model, Some(&token));
+        assert_eq!(model.widths, [4, 2]);
+        assert!(got[..3].iter().all(SweepOutcome::is_converged));
+        assert_eq!(got[3], SweepOutcome::Cancelled { iterations: 2 });
+        assert_eq!(got[4], SweepOutcome::Cancelled { iterations: 1 });
+        // Uncancelled, both slow lanes run well past the cut.
+        let full = drive_recorded(4, 5, &mut Recording::new(f), None);
+        for o in &full[3..] {
+            assert!(matches!(o, SweepOutcome::Converged { iterations, .. } if *iterations > 3));
+        }
     }
 
     #[test]

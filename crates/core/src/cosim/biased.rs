@@ -34,7 +34,7 @@
 
 use crate::cosim::batch::BatchPowerModel;
 use crate::cosim::sweep::{
-    ScaledTechBatch, ScaledTechPower, Scenario, ScenarioGrid, ScenarioPowerModel,
+    fit_panels, ScaledTechBatch, ScaledTechPower, Scenario, ScenarioGrid, ScenarioPowerModel,
 };
 use ptherm_floorplan::Floorplan;
 use ptherm_math::{expv, MultiVec};
@@ -164,7 +164,8 @@ struct BiasedTechBatch<'a> {
     t_ref: Vec<f64>,
     /// `1/θ`.
     theta_inv: f64,
-    /// Full `n × lanes` bias exponent/exponential panels.
+    /// Bias exponent/exponential panels, shaped like the last power
+    /// panel.
     x3: MultiVec,
     ex3: MultiVec,
 }
@@ -176,7 +177,6 @@ impl<'a> BiasedTechBatch<'a> {
         default_ambient_k: f64,
         lanes: usize,
     ) -> Self {
-        let n = model.inner.dynamic_w.len();
         BiasedTechBatch {
             model,
             inner: ScaledTechBatch::new(&model.inner, grid, default_ambient_k, lanes),
@@ -186,8 +186,8 @@ impl<'a> BiasedTechBatch<'a> {
             s_dyn: vec![0.0; lanes],
             t_ref: vec![0.0; lanes],
             theta_inv: 1.0 / model.theta_k,
-            x3: MultiVec::zeros(n, lanes),
-            ex3: MultiVec::zeros(n, lanes),
+            x3: MultiVec::default(),
+            ex3: MultiVec::default(),
         }
     }
 }
@@ -207,6 +207,7 @@ impl BatchPowerModel for BiasedTechBatch<'_> {
         self.inner.fill_powers(temps, powers);
         let n = temps.rows();
         let lanes = temps.lanes();
+        fit_panels(n, lanes, [&mut self.x3, &mut self.ex3]);
         let t_ref = &self.t_ref[..lanes];
         let theta_inv = self.theta_inv;
         for i in 0..n {

@@ -484,7 +484,7 @@ impl SweepEngine {
         let report = self.run_batched(
             probes.len(),
             |id| probes[id].1.ambient_k,
-            || {
+            |_| {
                 Box::new(FnBatchPower::new(|id: usize, block: usize, t: f64| {
                     let s = &probes[id].1;
                     model.block_power(s, &techs[s.tech_index], block, t)

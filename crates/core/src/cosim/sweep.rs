@@ -11,10 +11,10 @@
 //! 2. each scenario solve is independent — worker threads pull scenario
 //!    indices from one shared cursor, and
 //! 3. the per-iteration work is **batchable** — [`SweepEngine::sweep`]
-//!    advances [`SweepEngine::batch_lanes`] scenarios per Picard step
-//!    through the GEMM-batched [`BatchedSolver`], refilling lanes as
-//!    scenarios resolve, with the power law's exponentials evaluated in
-//!    batch ([`ScaledTechPower`]'s vectorized adapter).
+//!    advances up to [`SweepEngine::batch_lanes`] scenarios per Picard
+//!    step through the GEMM-batched [`BatchedSolver`], refilling lanes
+//!    as scenarios resolve, with the power law's exponentials evaluated
+//!    in batch ([`ScaledTechPower`]'s vectorized adapter).
 //!
 //! [`SweepEngine`] packages all three. Batched outcomes match the
 //! per-scenario oracle ([`SweepEngine::run_per_scenario`], the exact
@@ -237,7 +237,9 @@ pub trait ScenarioPowerModel: Sync {
 
     /// Builds the batched form of this model for one sweep worker:
     /// scenario ids map into `grid` (see [`ScenarioGrid::scenario`]) and
-    /// `lanes` is the worker's batch width.
+    /// `lanes` is the worker's starting batch width, an upper bound on
+    /// every panel the model is handed: the panel narrows as the batch
+    /// drains (see [`BatchPowerModel::fill_powers`]).
     ///
     /// The default wraps [`Self::block_power`] scalar calls — correct for
     /// every model, making the same power evaluations as the
@@ -283,7 +285,7 @@ impl<M: ScenarioPowerModel + ?Sized> BatchPowerModel for ScalarScenarioBatch<'_,
     fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
         let techs = self.grid.technologies();
         for i in 0..temps.rows() {
-            for (j, s) in self.lane_scenarios.iter().enumerate() {
+            for (j, s) in self.lane_scenarios.iter().take(temps.lanes()).enumerate() {
                 if let Some(s) = s {
                     let p = self
                         .model
@@ -507,9 +509,10 @@ pub(crate) struct ScaledTechBatch<'a> {
     c_sq: Vec<f64>,
     /// `1/I_off(T_ref)` per lane.
     c_ref: Vec<f64>,
-    /// Full `n × lanes` exponent/exponential panels: batching the two
-    /// `exp` sweeps into one [`expv::exp_into`] call each per Picard step
-    /// amortizes the kernel's per-call overhead across the whole batch.
+    /// Exponent/exponential panels shaped like the last power panel:
+    /// batching the two `exp` sweeps into one [`expv::exp_into`] call
+    /// each per Picard step amortizes the kernel's per-call overhead
+    /// across the whole batch.
     x1: MultiVec,
     x2: MultiVec,
     ex1: MultiVec,
@@ -517,6 +520,17 @@ pub(crate) struct ScaledTechBatch<'a> {
     /// Block-length scratch for the per-lane refresh.
     refresh_x: Vec<f64>,
     refresh_e: Vec<f64>,
+}
+
+/// Reshapes scratch panels to `rows × lanes` when the power panel
+/// changed shape (a narrowed batch), so each `expv` sweep covers exactly
+/// the panel's lanes.
+pub(crate) fn fit_panels<const K: usize>(rows: usize, lanes: usize, panels: [&mut MultiVec; K]) {
+    for panel in panels {
+        if (panel.rows(), panel.lanes()) != (rows, lanes) {
+            panel.reset(rows, lanes);
+        }
+    }
 }
 
 /// `q/k_B`, the kelvin-per-volt slope the thermal voltage folds to.
@@ -548,10 +562,10 @@ impl<'a> ScaledTechBatch<'a> {
             c_2: vec![0.0; lanes],
             c_sq: vec![0.0; lanes],
             c_ref: vec![0.0; lanes],
-            x1: MultiVec::zeros(n, lanes),
-            x2: MultiVec::zeros(n, lanes),
-            ex1: MultiVec::zeros(n, lanes),
-            ex2: MultiVec::zeros(n, lanes),
+            x1: MultiVec::default(),
+            x2: MultiVec::default(),
+            ex1: MultiVec::default(),
+            ex2: MultiVec::default(),
             refresh_x: vec![0.0; n],
             refresh_e: vec![0.0; n],
         }
@@ -581,6 +595,11 @@ impl BatchPowerModel for ScaledTechBatch<'_> {
         let n = temps.rows();
         let lanes = temps.lanes();
         debug_assert_eq!(n, self.model.dynamic_w.len());
+        fit_panels(
+            n,
+            lanes,
+            [&mut self.x1, &mut self.x2, &mut self.ex1, &mut self.ex2],
+        );
         // Fixed-length slice bindings hoist every bounds check out of the
         // per-element loops so they vectorize cleanly.
         let vt0 = &self.vt0[..lanes];
@@ -920,8 +939,8 @@ impl fmt::Display for MapReport {
 ///
 /// Construction precomputes the [`ThermalOperator`]; [`SweepEngine::sweep`]
 /// then shards the scenario stream across worker threads, each advancing
-/// a [`BatchedSolver`] batch of [`Self::batch_lanes`] scenarios per
-/// Picard step and refilling lanes from a shared cursor as scenarios
+/// a [`BatchedSolver`] batch of up to [`Self::batch_lanes`] scenarios
+/// per Picard step and refilling lanes from a shared cursor as scenarios
 /// resolve. See the [module docs](self) for the full picture and
 /// [`Self::run_per_scenario`] for the one-at-a-time oracle path.
 #[derive(Debug)]
@@ -1209,8 +1228,13 @@ impl SweepEngine {
         self
     }
 
-    /// Sets the scenarios-per-batch width of the GEMM-batched hot path
-    /// (1 = scalar-shaped batches, still through the batched solver).
+    /// Sets the upper bound on the scenarios-per-batch width of the
+    /// GEMM-batched hot path (1 = scalar-shaped batches, still through
+    /// the batched solver). Each worker starts at this width or at its
+    /// share of the work, `⌈scenarios / threads⌉`, whichever is
+    /// smaller, and a Picard batch narrows further as it drains (see
+    /// [`crate::cosim::batch`]), so a small sweep never pays for lanes
+    /// it cannot fill.
     /// Results are bitwise identical across widths: every lane runs the
     /// same per-lane operation sequence whatever its batch neighbours.
     #[must_use]
@@ -1387,7 +1411,7 @@ impl SweepEngine {
         self.run_batched(
             grid.len(),
             |id| grid.scenario(id, sink_k).ambient_k,
-            || model.batched(grid, sink_k, self.batch_lanes),
+            |lanes| model.batched(grid, sink_k, lanes),
             opts.cancel,
             opts.operator,
             Some(seed_of),
@@ -1406,7 +1430,7 @@ impl SweepEngine {
         self.run_batched(
             scenarios.len(),
             |id| ambient_k(&scenarios[id]),
-            || {
+            |_| {
                 Box::new(crate::cosim::batch::FnBatchPower::new(
                     |id: usize, block: usize, t: f64| power(&scenarios[id], block, t),
                 ))
@@ -1439,8 +1463,8 @@ impl SweepEngine {
     /// point.
     ///
     /// Leakage feedback is closed through the **existing** batched
-    /// Picard loop ([`Self::sweep`]: `Self::batch_lanes` scenarios per
-    /// GEMM step on the `MultiVec` path); the converged block power
+    /// Picard loop ([`Self::sweep`]: up to `Self::batch_lanes` scenarios
+    /// per GEMM step on the `MultiVec` path); the converged block power
     /// vectors are then rasterized and convolved through the FFT map
     /// operator, one render per scenario, sharded over
     /// `Self::threads` workers with a reusable [`MapWorkspace`] each.
@@ -1560,8 +1584,16 @@ impl SweepEngine {
         }
     }
 
+    /// Each worker's starting batch width for `total` work items: its
+    /// share of the work, `⌈total / threads⌉`, capped by
+    /// [`Self::batch_lanes`] (and at least 1).
+    fn worker_lanes(&self, total: usize) -> usize {
+        self.batch_lanes.min(total.div_ceil(self.threads)).max(1)
+    }
+
     /// Shared batched driver: `total` scenario ids, an ambient lookup and
-    /// a per-worker batched-model factory. Dispatches to the resolved
+    /// a per-worker batched-model factory, called with the worker's
+    /// width ([`Self::worker_lanes`]). Dispatches to the resolved
     /// backend (honouring a pre-built dense operator from
     /// [`RunOptions`]); both paths run the same Picard skeleton. Each
     /// lane starts cold at its ambient, or from `seed_of(id)` when
@@ -1576,7 +1608,7 @@ impl SweepEngine {
         &self,
         total: usize,
         ambient_of: impl Fn(usize) -> f64 + Sync,
-        make_model: impl Fn() -> Box<dyn BatchPowerModel + 'm> + Sync,
+        make_model: impl Fn(usize) -> Box<dyn BatchPowerModel + 'm> + Sync,
         cancel: Option<&CancelToken>,
         dense_override: Option<&Arc<ThermalOperator>>,
         seed_of: Option<&(dyn Fn(usize) -> Option<Vec<f64>> + Sync)>,
@@ -1595,9 +1627,10 @@ impl SweepEngine {
             )),
             Some(_) => None,
         };
+        let lanes = self.worker_lanes(total);
         let cursor = AtomicUsize::new(0);
         let per_worker = ptherm_par::par_workers(self.threads, |_worker| {
-            let mut model = make_model();
+            let mut model = make_model(lanes);
             let mut ws = BatchWorkspace::new();
             let mut collected: Vec<(usize, SweepOutcome)> = Vec::new();
             let mut source = || {
@@ -1611,7 +1644,7 @@ impl SweepEngine {
             let mut sink = |id: usize, outcome: SweepOutcome| collected.push((id, outcome));
             match (&spectral, &dense) {
                 (Some(op), _) => SpectralBatchedSolver::new(&self.solver, op).drive(
-                    self.batch_lanes,
+                    lanes,
                     &mut *model,
                     &mut ws,
                     &mut SpectralScratch::new(),
@@ -1620,7 +1653,7 @@ impl SweepEngine {
                     &mut sink,
                 ),
                 (None, Some(op)) => BatchedSolver::new(&self.solver, op).drive(
-                    self.batch_lanes,
+                    lanes,
                     &mut *model,
                     &mut ws,
                     cancel,
@@ -1684,8 +1717,8 @@ impl SweepEngine {
     /// implicit **transient** engine ([`crate::cosim::transient`]) —
     /// the unified transient entry point.
     ///
-    /// Every scenario of `grid` runs under every waveform of `cfg`,
-    /// `Self::batch_lanes` transients advancing per time step through
+    /// Every scenario of `grid` runs under every waveform of `cfg`, up
+    /// to `Self::batch_lanes` transients advancing per time step through
     /// the `Φ`/`Q` GEMM recurrence, chunks sharded over
     /// `Self::threads` workers. Outcomes land scenario-major
     /// ([`TransientReport::outcome`]); results are independent of
@@ -1762,7 +1795,7 @@ impl SweepEngine {
         let w = waveforms.len();
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
         let total = grid.len() * w;
-        let width = self.batch_lanes.max(1);
+        let width = self.worker_lanes(total);
         let chunks = total.div_ceil(width);
         let cursor = AtomicUsize::new(0);
         let solver = TransientBatchedSolver::new(top, self.solver.ceiling_k);
@@ -1787,7 +1820,6 @@ impl SweepEngine {
                     model.begin_lane(lane, id / w);
                 }
                 let outcomes = solver.solve_chunk(
-                    width,
                     &lanes,
                     &mut *model,
                     &mut ws,
@@ -2431,6 +2463,158 @@ mod tests {
         }
         assert!(report.max_map_temperature().unwrap() > 300.0);
         assert_eq!(report.converged_count(), sweep.converged_count());
+    }
+
+    /// Logs the width of every panel its batch form is handed.
+    struct PanelLog<M> {
+        inner: M,
+        widths: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl<M> PanelLog<M> {
+        fn new(inner: M) -> Self {
+            PanelLog {
+                inner,
+                widths: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn widths(&self) -> Vec<usize> {
+            self.widths.lock().unwrap().clone()
+        }
+    }
+
+    impl<M: ScenarioPowerModel> ScenarioPowerModel for PanelLog<M> {
+        fn block_power(&self, s: &Scenario, tech: &Technology, block: usize, t: f64) -> f64 {
+            self.inner.block_power(s, tech, block, t)
+        }
+
+        fn batched<'a>(
+            &'a self,
+            grid: &'a ScenarioGrid,
+            default_ambient_k: f64,
+            lanes: usize,
+        ) -> Box<dyn BatchPowerModel + 'a> {
+            Box::new(PanelLogBatch {
+                inner: self.inner.batched(grid, default_ambient_k, lanes),
+                widths: &self.widths,
+            })
+        }
+    }
+
+    struct PanelLogBatch<'a> {
+        inner: Box<dyn BatchPowerModel + 'a>,
+        widths: &'a std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl BatchPowerModel for PanelLogBatch<'_> {
+        fn begin_lane(&mut self, lane: usize, id: usize) {
+            self.inner.begin_lane(lane, id);
+        }
+
+        fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
+            self.widths.lock().unwrap().push(temps.lanes());
+            self.inner.fill_powers(temps, powers);
+        }
+
+        fn lane_power(&self, lane: usize, block: usize, t: f64) -> Option<f64> {
+            self.inner.lane_power(lane, block, t)
+        }
+
+        fn refresh_lane(&mut self, lane: usize, temps: &[f64], powers: &mut [f64]) {
+            self.inner.refresh_lane(lane, temps, powers);
+        }
+    }
+
+    /// A 16-block grid-coincident die, so both backends can run it.
+    fn tile_plan() -> Floorplan {
+        ptherm_floorplan::generator::tile_aligned(
+            ptherm_floorplan::ChipGeometry::paper_1mm(),
+            4,
+            4,
+            |_| 0.01,
+        )
+        .expect("aligned tiling is valid")
+    }
+
+    /// Per-block power `0.005·vdd_scale + activity·(T − 300 K)`: the
+    /// activity axis sets the loop gain, so on [`tile_plan`] the grid
+    /// below settles after 6 to 41 iterations, runs away at iteration 42
+    /// or, at `vdd_scale` 30000, runs away on the first step.
+    fn far_apart_power(s: &Scenario, _tech: &Technology, _block: usize, t: f64) -> f64 {
+        0.005 * s.vdd_scale + s.activity * (t - 300.0)
+    }
+
+    #[test]
+    fn panels_never_outgrow_the_work_and_narrow_as_it_drains() {
+        let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()])
+            .activities(vec![0.0, 0.005, 0.01, 0.015, 0.02]);
+        let want = SweepEngine::new(tile_plan())
+            .threads(1)
+            .batch_lanes(1)
+            .sweep(&grid, &far_apart_power, RunOptions::new());
+        // One worker takes all five scenarios; two take at most three
+        // each, ⌈5 / 2⌉.
+        for (threads, widest) in [(1, 5), (2, 3)] {
+            let model = PanelLog::new(far_apart_power);
+            let got = SweepEngine::new(tile_plan())
+                .threads(threads)
+                .batch_lanes(64)
+                .sweep(&grid, &model, RunOptions::new());
+            assert_eq!(got.outcomes, want.outcomes, "threads {threads}");
+            let widths = model.widths();
+            assert_eq!(widths.iter().max(), Some(&widest), "threads {threads}");
+            // Every fill steps at least one live lane, so a narrower
+            // panel means the batch shrank before its last lane retired.
+            assert!(widths.iter().any(|&w| w < widest), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_small_transient_steps_panels_as_wide_as_its_lanes() {
+        let engine = engine().threads(1).batch_lanes(64);
+        let grid =
+            ScenarioGrid::new(vec![Technology::cmos_120nm()]).vdd_scales(vec![0.8, 0.9, 1.0, 1.1]);
+        let model = PanelLog::new(engine.uniform_tech_power(0.6, 0.05));
+        let cfg = transient_config(&engine);
+        let got = engine
+            .transient(&grid, &model, &cfg, RunOptions::new())
+            .expect("valid");
+        assert_eq!(got.outcomes.len(), 4);
+        let widths = model.widths();
+        assert_eq!(widths.len(), cfg.steps);
+        assert!(widths.iter().all(|&w| w == 4), "{widths:?}");
+    }
+
+    #[test]
+    fn lanes_retiring_far_apart_are_bitwise_invariant_to_threads_and_width() {
+        let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()])
+            .vdd_scales(vec![1.0, 30000.0])
+            .activities(vec![0.0, 0.005, 0.01, 0.015, 0.02, 0.03]);
+        for backend in [SweepBackend::Dense, SweepBackend::Spectral] {
+            let run = |threads: usize, lanes: usize| {
+                SweepEngine::new(tile_plan())
+                    .backend(backend)
+                    .threads(threads)
+                    .batch_lanes(lanes)
+                    .sweep(&grid, &far_apart_power, RunOptions::new())
+                    .outcomes
+            };
+            let want = run(1, 1);
+            assert!(want
+                .iter()
+                .any(|o| matches!(o, SweepOutcome::Runaway { iteration, .. } if *iteration <= 3)));
+            assert!(want.iter().any(
+                |o| matches!(o, SweepOutcome::Converged { iterations, .. } if *iterations >= 20)
+            ));
+            for (threads, lanes) in [(1, 3), (2, 5), (1, 64)] {
+                assert_eq!(
+                    run(threads, lanes),
+                    want,
+                    "{backend} threads {threads} lanes {lanes}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -684,14 +684,14 @@ impl TransientWorkspace {
         TransientWorkspace::default()
     }
 
-    fn reset(&mut self, blocks: usize, lanes: usize, sink_k: f64) {
+    fn reset(&mut self, blocks: usize, lanes: usize) {
         self.rises.reset(blocks, lanes);
         self.temps.reset(blocks, lanes);
         self.powers.reset(blocks, lanes);
         self.fresh.reset(blocks, lanes);
         self.inject.reset(blocks, lanes);
         self.ambient.clear();
-        self.ambient.resize(lanes, sink_k);
+        self.ambient.resize(lanes, 0.0);
         self.scale.clear();
         self.scale.resize(lanes, 1.0);
         self.power_min.clear();
@@ -699,7 +699,7 @@ impl TransientWorkspace {
         self.power_poison.clear();
         self.power_poison.resize(lanes, 0.0);
         self.peak.clear();
-        self.peak.resize(lanes, sink_k);
+        self.peak.resize(lanes, 0.0);
         self.peak_time.clear();
         self.peak_time.resize(lanes, 0.0);
         self.alive.clear();
@@ -710,11 +710,6 @@ impl TransientWorkspace {
         self.samples.resize(lanes, Vec::new());
         self.lane_buf.clear();
         self.lane_buf.resize(blocks, 0.0);
-        // Idle lanes still flow through the power model and the GEMMs;
-        // a sane temperature keeps batched models (1/T terms) finite.
-        for lane in 0..lanes {
-            self.temps.fill_lane(lane, sink_k);
-        }
     }
 }
 
@@ -749,21 +744,16 @@ impl<'a> TransientBatchedSolver<'a> {
 
     /// Advances one chunk of lanes through `steps` implicit steps.
     ///
-    /// The batch panels are `width` lanes wide (the power model's batch
-    /// width); only the first `lanes.len() <= width` lanes are active —
-    /// trailing lanes idle through the arithmetic at the sink
-    /// temperature and are ignored. `model` must have
-    /// [`BatchPowerModel::begin_lane`] already called for every entry of
-    /// `lanes` (lane `j` ↔ `lanes[j]`). Returns one outcome per active
-    /// lane, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width < lanes.len()`.
-    #[allow(clippy::too_many_arguments)]
+    /// The batch panels are exactly `lanes.len()` wide, so no column
+    /// idles: `model` must have been built for at least that many lanes
+    /// and must have [`BatchPowerModel::begin_lane`] already called for
+    /// every entry of `lanes` (lane `j` ↔ `lanes[j]`). Unlike the Picard
+    /// batch the panel never shrinks: every lane runs all `steps`, and a
+    /// lane that diverges or reports bad power retires in place, its
+    /// column still stepped until the chunk ends. Returns one outcome
+    /// per lane, in order.
     pub fn solve_chunk<M: BatchPowerModel + ?Sized>(
         &self,
-        width: usize,
         lanes: &[TransientLane<'_>],
         model: &mut M,
         ws: &mut TransientWorkspace,
@@ -771,12 +761,11 @@ impl<'a> TransientBatchedSolver<'a> {
         record_stride: usize,
         cancel: Option<&CancelToken>,
     ) -> Vec<TransientOutcome> {
-        assert!(width >= lanes.len(), "chunk wider than the batch panels");
         let n = self.op.len();
-        let active = lanes.len();
+        let width = lanes.len();
         let dt = self.op.dt();
         let drive_offset = self.op.drive_offset();
-        ws.reset(n, width, self.op.sink_temperature());
+        ws.reset(n, width);
         for (j, lane) in lanes.iter().enumerate() {
             ws.ambient[j] = lane.ambient_k;
             ws.alive[j] = true;
@@ -883,7 +872,7 @@ impl<'a> TransientBatchedSolver<'a> {
             }
         }
 
-        (0..active)
+        (0..width)
             .map(|j| {
                 if let Some(out) = ws.outcomes[j].take() {
                     return out;
@@ -1262,7 +1251,7 @@ mod tests {
             model.begin_lane(lane, lane);
         }
         let mut ws = TransientWorkspace::new();
-        let batched = solver.solve_chunk(lanes.len(), &lanes, &mut model, &mut ws, 400, 40, None);
+        let batched = solver.solve_chunk(&lanes, &mut model, &mut ws, 400, 40, None);
         for (id, lane) in lanes.iter().enumerate() {
             let single =
                 solver.solve_single(lane.ambient_k, lane.waveform, |b, t| f(id, b, t), 400, 40);
@@ -1451,7 +1440,7 @@ mod tests {
             model.begin_lane(lane, lane);
         }
         let mut ws = TransientWorkspace::new();
-        let out = solver.solve_chunk(lanes.len(), &lanes, &mut model, &mut ws, 100, 0, None);
+        let out = solver.solve_chunk(&lanes, &mut model, &mut ws, 100, 0, None);
         assert!(out[0].is_finished());
         assert!(matches!(
             out[1],

@@ -68,7 +68,11 @@ pub struct FleetConfig {
     /// Capacity of each operator cache (steady and transient count
     /// separately).
     pub cache_capacity: usize,
-    /// Batch width of each job's Picard/transient hot path.
+    /// Upper bound on the batch width of each job's Picard/transient
+    /// hot path. A job's panels are only as wide as its scenario count
+    /// (scenarios × waveforms for a transient), and a Picard batch
+    /// narrows further as its lanes retire, so a small job never pays
+    /// for idle lanes.
     pub batch_lanes: usize,
     /// Lateral image order of every operator build.
     pub lateral_order: usize,
@@ -217,7 +221,8 @@ impl FleetEngineBuilder {
         self
     }
 
-    /// Sets the batch width of each job's hot path.
+    /// Sets the upper bound on each job's hot-path batch width (see
+    /// [`FleetConfig::batch_lanes`]).
     #[must_use]
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.config.batch_lanes = lanes;
