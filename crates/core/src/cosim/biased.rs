@@ -34,7 +34,8 @@
 
 use crate::cosim::batch::BatchPowerModel;
 use crate::cosim::sweep::{
-    fit_panels, ScaledTechBatch, ScaledTechPower, Scenario, ScenarioGrid, ScenarioPowerModel,
+    fit_panels, ScaledTechBatch, ScaledTechPower, Scenario, ScenarioGrid, ScenarioLookup,
+    ScenarioPowerModel,
 };
 use ptherm_floorplan::Floorplan;
 use ptherm_math::{expv, MultiVec};
@@ -139,11 +140,10 @@ impl ScenarioPowerModel for BiasedTechPower {
 
     fn batched<'a>(
         &'a self,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Box<dyn BatchPowerModel + 'a> {
-        Box::new(BiasedTechBatch::new(self, grid, default_ambient_k, lanes))
+        Box::new(BiasedTechBatch::new(self, scenarios, lanes))
     }
 }
 
@@ -152,11 +152,9 @@ impl ScenarioPowerModel for BiasedTechPower {
 /// (see the [module docs](self)).
 struct BiasedTechBatch<'a> {
     model: &'a BiasedTechPower,
+    /// The base adapter; it also holds each lane's scenario for the
+    /// scalar refresh calls.
     inner: ScaledTechBatch<'a>,
-    grid: &'a ScenarioGrid,
-    default_ambient_k: f64,
-    /// Scenario loaded in each lane (for the scalar refresh calls).
-    lane_scenarios: Vec<Option<Scenario>>,
     /// `activity·vdd_scale²` per lane (the bias rides the dynamic
     /// scale).
     s_dyn: Vec<f64>,
@@ -171,18 +169,10 @@ struct BiasedTechBatch<'a> {
 }
 
 impl<'a> BiasedTechBatch<'a> {
-    fn new(
-        model: &'a BiasedTechPower,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
-        lanes: usize,
-    ) -> Self {
+    fn new(model: &'a BiasedTechPower, scenarios: ScenarioLookup<'a>, lanes: usize) -> Self {
         BiasedTechBatch {
             model,
-            inner: ScaledTechBatch::new(&model.inner, grid, default_ambient_k, lanes),
-            grid,
-            default_ambient_k,
-            lane_scenarios: vec![None; lanes],
+            inner: ScaledTechBatch::new(&model.inner, scenarios, lanes),
             s_dyn: vec![0.0; lanes],
             t_ref: vec![0.0; lanes],
             theta_inv: 1.0 / model.theta_k,
@@ -195,11 +185,10 @@ impl<'a> BiasedTechBatch<'a> {
 impl BatchPowerModel for BiasedTechBatch<'_> {
     fn begin_lane(&mut self, lane: usize, id: usize) {
         self.inner.begin_lane(lane, id);
-        let s = self.grid.scenario(id, self.default_ambient_k);
-        let tech = &self.grid.technologies()[s.tech_index];
-        self.s_dyn[lane] = s.activity * s.vdd_scale * s.vdd_scale;
-        self.t_ref[lane] = tech.t_ref;
-        self.lane_scenarios[lane] = Some(s);
+        if let Some((s, tech)) = self.inner.lane_scenario(lane) {
+            self.s_dyn[lane] = s.activity * s.vdd_scale * s.vdd_scale;
+            self.t_ref[lane] = tech.t_ref;
+        }
     }
 
     fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
@@ -230,11 +219,8 @@ impl BatchPowerModel for BiasedTechBatch<'_> {
     }
 
     fn lane_power(&self, lane: usize, block: usize, t: f64) -> Option<f64> {
-        let s = self.lane_scenarios.get(lane)?.as_ref()?;
-        Some(
-            self.model
-                .block_power(s, &self.grid.technologies()[s.tech_index], block, t),
-        )
+        let (s, tech) = self.inner.lane_scenario(lane)?;
+        Some(self.model.block_power(s, tech, block, t))
     }
     // `refresh_lane` stays the default scalar loop over `lane_power`:
     // the converged refresh matches the per-scenario oracle exactly,

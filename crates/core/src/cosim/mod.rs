@@ -59,8 +59,8 @@ pub use spectral::{
     SpectralOperator, SpectralScratch,
 };
 pub use sweep::{
-    MapOutcome, MapReport, RunOptions, Scenario, ScenarioGrid, SweepBackend, SweepEngine,
-    SweepOutcome, SweepReport, SPECTRAL_AUTO_THRESHOLD,
+    MapOutcome, MapReport, RunOptions, Scenario, ScenarioGrid, ScenarioLookup, SweepBackend,
+    SweepEngine, SweepOutcome, SweepReport, SPECTRAL_AUTO_THRESHOLD,
 };
 pub use transient::{
     propagator_fingerprint, DriveWaveform, TransientBatchedSolver, TransientConfig, TransientError,

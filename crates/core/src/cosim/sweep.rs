@@ -222,6 +222,31 @@ impl ScenarioGrid {
     }
 }
 
+/// Where a batched power model reads the scenario behind a lane id: the
+/// id → [`Scenario`] map plus the technology list every
+/// [`Scenario::tech_index`] points into.
+///
+/// A grid sweep passes `|id| grid.scenario(id, sink_k)` over the grid's
+/// technologies; a transient maps each scenario × waveform lane to its
+/// scenario the same way; envelope probes read their planner's probe
+/// table. [`BatchPowerModel::begin_lane`] calls the map once per lane
+/// load, never per element.
+#[derive(Clone, Copy)]
+pub struct ScenarioLookup<'a> {
+    /// Scenario `id` (the driver's lane id) → its knobs.
+    pub scenario: &'a (dyn Fn(usize) -> Scenario + Sync),
+    /// The technology list scenarios index into.
+    pub technologies: &'a [Technology],
+}
+
+impl fmt::Debug for ScenarioLookup<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScenarioLookup")
+            .field("technologies", &self.technologies.len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// Per-block power as a function of scenario and temperature — the model
 /// the engine evaluates inside each Picard iteration.
 pub trait ScenarioPowerModel: Sync {
@@ -235,11 +260,14 @@ pub trait ScenarioPowerModel: Sync {
         temperature_k: f64,
     ) -> f64;
 
-    /// Builds the batched form of this model for one sweep worker:
-    /// scenario ids map into `grid` (see [`ScenarioGrid::scenario`]) and
-    /// `lanes` is the worker's starting batch width, an upper bound on
-    /// every panel the model is handed: the panel narrows as the batch
-    /// drains (see [`BatchPowerModel::fill_powers`]).
+    /// Builds the batched form of this model for one worker of the
+    /// batched driver: lane ids resolve through `scenarios` (grid
+    /// sweeps, transients and envelope probes all hand their own
+    /// lookup, so every workload evaluates power through the same
+    /// adapter), and `lanes` is the worker's starting batch width, an
+    /// upper bound on every panel the model is handed: the panel
+    /// narrows as the batch drains (see
+    /// [`BatchPowerModel::fill_powers`]).
     ///
     /// The default wraps [`Self::block_power`] scalar calls — correct for
     /// every model, making the same power evaluations as the
@@ -251,8 +279,7 @@ pub trait ScenarioPowerModel: Sync {
     /// ULP level.
     fn batched<'a>(
         &'a self,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Box<dyn BatchPowerModel + 'a>
     where
@@ -260,8 +287,7 @@ pub trait ScenarioPowerModel: Sync {
     {
         Box::new(ScalarScenarioBatch {
             model: self,
-            grid,
-            default_ambient_k,
+            scenarios,
             lane_scenarios: vec![None; lanes],
         })
     }
@@ -272,18 +298,17 @@ pub trait ScenarioPowerModel: Sync {
 /// the per-scenario path makes.
 struct ScalarScenarioBatch<'a, M: ?Sized> {
     model: &'a M,
-    grid: &'a ScenarioGrid,
-    default_ambient_k: f64,
+    scenarios: ScenarioLookup<'a>,
     lane_scenarios: Vec<Option<Scenario>>,
 }
 
 impl<M: ScenarioPowerModel + ?Sized> BatchPowerModel for ScalarScenarioBatch<'_, M> {
     fn begin_lane(&mut self, lane: usize, id: usize) {
-        self.lane_scenarios[lane] = Some(self.grid.scenario(id, self.default_ambient_k));
+        self.lane_scenarios[lane] = Some((self.scenarios.scenario)(id));
     }
 
     fn fill_powers(&mut self, temps: &MultiVec, powers: &mut MultiVec) {
-        let techs = self.grid.technologies();
+        let techs = self.scenarios.technologies;
         for i in 0..temps.rows() {
             for (j, s) in self.lane_scenarios.iter().take(temps.lanes()).enumerate() {
                 if let Some(s) = s {
@@ -300,7 +325,7 @@ impl<M: ScenarioPowerModel + ?Sized> BatchPowerModel for ScalarScenarioBatch<'_,
         let s = self.lane_scenarios.get(lane)?.as_ref()?;
         Some(
             self.model
-                .block_power(s, &self.grid.technologies()[s.tech_index], block, t),
+                .block_power(s, &self.scenarios.technologies[s.tech_index], block, t),
         )
     }
 }
@@ -457,11 +482,10 @@ impl ScenarioPowerModel for ScaledTechPower {
 
     fn batched<'a>(
         &'a self,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Box<dyn BatchPowerModel + 'a> {
-        Box::new(ScaledTechBatch::new(self, grid, default_ambient_k, lanes))
+        Box::new(ScaledTechBatch::new(self, scenarios, lanes))
     }
 }
 
@@ -486,8 +510,7 @@ impl ScenarioPowerModel for ScaledTechPower {
 /// `docs/PERFORMANCE.md` and the batch-oracle tests assert.
 pub(crate) struct ScaledTechBatch<'a> {
     model: &'a ScaledTechPower,
-    grid: &'a ScenarioGrid,
-    default_ambient_k: f64,
+    scenarios: ScenarioLookup<'a>,
     /// Scenario loaded in each lane (for the scalar refresh calls).
     lane_scenarios: Vec<Option<Scenario>>,
     /// `activity·vdd_scale²` per lane.
@@ -542,15 +565,13 @@ fn charge_over_boltzmann() -> f64 {
 impl<'a> ScaledTechBatch<'a> {
     pub(crate) fn new(
         model: &'a ScaledTechPower,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Self {
         let n = model.dynamic_w.len();
         ScaledTechBatch {
             model,
-            grid,
-            default_ambient_k,
+            scenarios,
             lane_scenarios: vec![None; lanes],
             s_dyn: vec![0.0; lanes],
             s_leak: vec![0.0; lanes],
@@ -570,12 +591,19 @@ impl<'a> ScaledTechBatch<'a> {
             refresh_e: vec![0.0; n],
         }
     }
+
+    /// The scenario loaded in `lane` and its technology, or `None` when
+    /// no scenario was ever loaded there.
+    pub(crate) fn lane_scenario(&self, lane: usize) -> Option<(&Scenario, &'a Technology)> {
+        let s = self.lane_scenarios.get(lane)?.as_ref()?;
+        Some((s, &self.scenarios.technologies[s.tech_index]))
+    }
 }
 
 impl BatchPowerModel for ScaledTechBatch<'_> {
     fn begin_lane(&mut self, lane: usize, id: usize) {
-        let s = self.grid.scenario(id, self.default_ambient_k);
-        let tech = &self.grid.technologies()[s.tech_index];
+        let s = (self.scenarios.scenario)(id);
+        let tech = &self.scenarios.technologies[s.tech_index];
         let p = &tech.nmos;
         let q_over_k = charge_over_boltzmann();
         self.s_dyn[lane] = s.activity * s.vdd_scale * s.vdd_scale;
@@ -646,11 +674,8 @@ impl BatchPowerModel for ScaledTechBatch<'_> {
     }
 
     fn lane_power(&self, lane: usize, block: usize, t: f64) -> Option<f64> {
-        let s = self.lane_scenarios.get(lane)?.as_ref()?;
-        Some(
-            self.model
-                .block_power(s, &self.grid.technologies()[s.tech_index], block, t),
-        )
+        let (s, tech) = self.lane_scenario(lane)?;
+        Some(self.model.block_power(s, tech, block, t))
     }
 
     fn refresh_lane(&mut self, lane: usize, temps: &[f64], powers: &mut [f64]) {
@@ -1408,13 +1433,21 @@ impl SweepEngine {
         // fingerprint contract): reading it must not force a dense
         // build under the spectral backend.
         let sink_k = self.solver.floorplan().geometry().sink_temperature;
+        let scenario_of = |id| grid.scenario(id, sink_k);
+        let scenarios = ScenarioLookup {
+            scenario: &scenario_of,
+            technologies: grid.technologies(),
+        };
         self.run_batched(
             grid.len(),
-            |id| grid.scenario(id, sink_k).ambient_k,
-            |lanes| model.batched(grid, sink_k, lanes),
+            |id| LaneStart {
+                id,
+                ambient_k: grid.scenario(id, sink_k).ambient_k,
+                seed: seed_of(id),
+            },
+            |lanes| model.batched(scenarios, lanes),
             opts.cancel,
             opts.operator,
-            Some(seed_of),
         )
     }
 
@@ -1429,13 +1462,12 @@ impl SweepEngine {
     {
         self.run_batched(
             scenarios.len(),
-            |id| ambient_k(&scenarios[id]),
+            |id| LaneStart::cold(id, ambient_k(&scenarios[id])),
             |_| {
                 Box::new(crate::cosim::batch::FnBatchPower::new(
                     |id: usize, block: usize, t: f64| power(&scenarios[id], block, t),
                 ))
             },
-            None,
             None,
             None,
         )
@@ -1591,28 +1623,90 @@ impl SweepEngine {
         self.batch_lanes.min(total.div_ceil(self.threads)).max(1)
     }
 
-    /// Shared batched driver: `total` scenario ids, an ambient lookup and
-    /// a per-worker batched-model factory, called with the worker's
-    /// width ([`Self::worker_lanes`]). Dispatches to the resolved
-    /// backend (honouring a pre-built dense operator from
-    /// [`RunOptions`]); both paths run the same Picard skeleton. Each
-    /// lane starts cold at its ambient, or from `seed_of(id)` when
-    /// `seed_of` is given and yields a seed.
+    /// The sweep caller of [`Self::drive_batched`]: scenario ids
+    /// `0..total` pulled from one shared atomic cursor (`start_of(id)`
+    /// builds each lane's start), outcomes collected in id order.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::drive_batched`].
+    pub(crate) fn run_batched<'m>(
+        &self,
+        total: usize,
+        start_of: impl Fn(usize) -> LaneStart + Sync,
+        make_model: impl Fn(usize) -> Box<dyn BatchPowerModel + 'm> + Sync,
+        cancel: Option<&CancelToken>,
+        dense_override: Option<&Arc<ThermalOperator>>,
+    ) -> SweepReport {
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<SweepOutcome>> = (0..total).map(|_| OnceLock::new()).collect();
+        self.drive_batched(
+            total,
+            make_model,
+            cancel,
+            dense_override,
+            &|| {
+                let id = cursor.fetch_add(1, Ordering::Relaxed);
+                (id < total).then(|| start_of(id))
+            },
+            &|id, outcome| {
+                // Each id leaves the cursor once, so each slot is set
+                // once.
+                let _ = slots[id].set(outcome);
+            },
+        );
+        // Scenarios still in the shared cursor when a token fires were
+        // never pulled into a lane: they retire as Cancelled with zero
+        // iterations. Without a fired token every slot must be filled —
+        // the original exhaustiveness contract.
+        let cancelled = cancel.is_some_and(|token| token.fired());
+        SweepReport {
+            outcomes: slots
+                .into_iter()
+                .map(|slot| match slot.into_inner() {
+                    Some(outcome) => outcome,
+                    None => {
+                        assert!(cancelled, "every scenario resolved");
+                        SweepOutcome::Cancelled { iterations: 0 }
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// The one batched Picard driver behind sweeps, seeded `delta`
+    /// sweeps, `map`'s Picard pass and envelope bisection.
+    ///
+    /// Resolves the backend (honouring a pre-built dense operator from
+    /// [`RunOptions`]), then runs [`Self::threads`] workers. Each builds
+    /// its power model with `make_model(lanes)`, where `lanes` is
+    /// [`Self::worker_lanes`] of `max_in_flight` (the most lanes the
+    /// source can ever keep busy at once), and runs one
+    /// [`BatchedSolver::drive`] (or its spectral twin) against the
+    /// caller's **shared** `source` and `sink`. Both backends run the
+    /// same Picard skeleton.
+    ///
+    /// The drive's streaming contract carries over: `source` may return
+    /// `None` while it waits for outcomes still in flight, and is polled
+    /// again whenever a lane frees up. A worker leaves once its source
+    /// returns `None` while none of its own lanes are live, so a source
+    /// must only withhold work that an in-flight lane's retirement will
+    /// release.
     ///
     /// # Panics
     ///
     /// Panics when the backend is explicitly [`SweepBackend::Spectral`]
     /// and the floorplan is not grid-coincident. Callers that need a
     /// typed failure (the fleet) pre-validate with [`infer_grid`].
-    pub(crate) fn run_batched<'m>(
+    pub(crate) fn drive_batched<'m>(
         &self,
-        total: usize,
-        ambient_of: impl Fn(usize) -> f64 + Sync,
+        max_in_flight: usize,
         make_model: impl Fn(usize) -> Box<dyn BatchPowerModel + 'm> + Sync,
         cancel: Option<&CancelToken>,
         dense_override: Option<&Arc<ThermalOperator>>,
-        seed_of: Option<&(dyn Fn(usize) -> Option<Vec<f64>> + Sync)>,
-    ) -> SweepReport {
+        source: &(dyn Fn() -> Option<LaneStart> + Sync),
+        sink: &(dyn Fn(usize, SweepOutcome) + Sync),
+    ) {
         let spectral = match self.resolved_backend() {
             SweepBackend::Spectral => Some(match self.spectral_operator() {
                 Ok(op) => Arc::clone(op),
@@ -1627,21 +1721,12 @@ impl SweepEngine {
             )),
             Some(_) => None,
         };
-        let lanes = self.worker_lanes(total);
-        let cursor = AtomicUsize::new(0);
-        let per_worker = ptherm_par::par_workers(self.threads, |_worker| {
+        let lanes = self.worker_lanes(max_in_flight);
+        ptherm_par::par_workers(self.threads, |_worker| {
             let mut model = make_model(lanes);
             let mut ws = BatchWorkspace::new();
-            let mut collected: Vec<(usize, SweepOutcome)> = Vec::new();
-            let mut source = || {
-                let id = cursor.fetch_add(1, Ordering::Relaxed);
-                (id < total).then(|| LaneStart {
-                    id,
-                    ambient_k: ambient_of(id),
-                    seed: seed_of.and_then(|seed_of| seed_of(id)),
-                })
-            };
-            let mut sink = |id: usize, outcome: SweepOutcome| collected.push((id, outcome));
+            let mut source = || source();
+            let mut sink = |id: usize, outcome: SweepOutcome| sink(id, outcome);
             match (&spectral, &dense) {
                 (Some(op), _) => SpectralBatchedSolver::new(&self.solver, op).drive(
                     lanes,
@@ -1663,29 +1748,7 @@ impl SweepEngine {
                 // lint:allow(panic-freedom) — `dense` is Some exactly when `spectral` is None (constructed two matches above)
                 (None, None) => unreachable!("one backend operator is always resolved"),
             }
-            collected
         });
-        // Scenarios still in the shared cursor when a token fires were
-        // never pulled into a lane: they retire as Cancelled with zero
-        // iterations. Without a fired token every slot must be filled —
-        // the original exhaustiveness contract.
-        let cancelled = cancel.is_some_and(|token| token.fired());
-        let mut outcomes: Vec<Option<SweepOutcome>> = (0..total).map(|_| None).collect();
-        for (id, outcome) in per_worker.into_iter().flatten() {
-            outcomes[id] = Some(outcome);
-        }
-        SweepReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| match o {
-                    Some(outcome) => outcome,
-                    None => {
-                        assert!(cancelled, "every scenario resolved");
-                        SweepOutcome::Cancelled { iterations: 0 }
-                    }
-                })
-                .collect(),
-        }
     }
 
     /// Per-block thermal capacitances for a transient run: the config's
@@ -1799,8 +1862,13 @@ impl SweepEngine {
         let chunks = total.div_ceil(width);
         let cursor = AtomicUsize::new(0);
         let solver = TransientBatchedSolver::new(top, self.solver.ceiling_k);
+        let scenario_of = |id| grid.scenario(id, sink_k);
+        let scenarios = ScenarioLookup {
+            scenario: &scenario_of,
+            technologies: grid.technologies(),
+        };
         let per_worker = ptherm_par::par_workers(self.threads, |_worker| {
-            let mut model = model.batched(grid, sink_k, width);
+            let mut model = model.batched(scenarios, width);
             let mut ws = TransientWorkspace::new();
             let mut collected: Vec<(usize, Vec<TransientOutcome>)> = Vec::new();
             loop {
@@ -2491,12 +2559,11 @@ mod tests {
 
         fn batched<'a>(
             &'a self,
-            grid: &'a ScenarioGrid,
-            default_ambient_k: f64,
+            scenarios: ScenarioLookup<'a>,
             lanes: usize,
         ) -> Box<dyn BatchPowerModel + 'a> {
             Box::new(PanelLogBatch {
-                inner: self.inner.batched(grid, default_ambient_k, lanes),
+                inner: self.inner.batched(scenarios, lanes),
                 widths: &self.widths,
             })
         }

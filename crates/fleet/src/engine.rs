@@ -41,7 +41,7 @@ use crate::faults::{xorshift64, Fault, FaultPlan};
 use crate::jobs::{DeltaJob, EnvelopeJob, JobSpec, MapJob, PowerSpec, SteadyJob, TransientJob};
 use crate::json::Json;
 use ptherm_core::cosim::spectral::DEFAULT_REFINEMENT_TOLERANCE;
-use ptherm_core::cosim::sweep::{ScaledTechPower, Scenario, ScenarioPowerModel};
+use ptherm_core::cosim::sweep::{ScaledTechPower, Scenario, ScenarioLookup, ScenarioPowerModel};
 use ptherm_core::cosim::{
     BatchPowerModel, BiasedTechPower, EnvelopeReport, EnvelopeSpec, EnvelopeSpecError, MapReport,
     RunOptions, ScenarioGrid, SpectralGridError, SweepBackend, SweepEngine, SweepOutcome,
@@ -1122,20 +1122,21 @@ impl ScenarioPowerModel for FleetPower {
 
     fn batched<'a>(
         &'a self,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Box<dyn BatchPowerModel + 'a> {
         match self {
-            FleetPower::Scaled(m) => m.batched(grid, default_ambient_k, lanes),
-            FleetPower::Biased(m) => m.batched(grid, default_ambient_k, lanes),
+            FleetPower::Scaled(m) => m.batched(scenarios, lanes),
+            FleetPower::Biased(m) => m.batched(scenarios, lanes),
         }
     }
 }
 
 /// Wraps a job's power model so a scheduled [`Fault::SolverPanic`]
 /// fires in the model's `iteration`-th batched power fill — mid-Picard
-/// (steady/map) or mid-step (transient), on the job's worker thread.
+/// (steady/map/delta, and envelope probes, whose fills count across
+/// the job's one streamed panel) or mid-step (transient), on the job's
+/// worker thread.
 /// With no scheduled panic it is a zero-cost pass-through: `batched`
 /// hands back the inner model's batch unchanged, so fault-free jobs
 /// run the exact code path (and bit pattern) of an unwrapped model.
@@ -1167,11 +1168,10 @@ impl<M: ScenarioPowerModel> ScenarioPowerModel for FaultableModel<'_, M> {
 
     fn batched<'a>(
         &'a self,
-        grid: &'a ScenarioGrid,
-        default_ambient_k: f64,
+        scenarios: ScenarioLookup<'a>,
         lanes: usize,
     ) -> Box<dyn BatchPowerModel + 'a> {
-        let inner = self.inner.batched(grid, default_ambient_k, lanes);
+        let inner = self.inner.batched(scenarios, lanes);
         match self.panic_at {
             Some(iteration) => Box::new(PanicAfterFills {
                 inner,

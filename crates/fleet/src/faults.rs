@@ -14,7 +14,9 @@
 //!   single-flight cache reservation (exercises the
 //!   [`Lru`](crate::cache::Lru) reservation-recovery path);
 //! * [`Fault::SolverPanic`] — the power model panics at Picard
-//!   iteration / transient step `k`, mid-solve on a worker thread;
+//!   iteration / transient step `k` (for an envelope job, the `k`-th
+//!   iteration of its one streamed probe panel), mid-solve on a worker
+//!   thread;
 //! * [`Fault::Delay`] — the job stalls before solving (exercises
 //!   deadlines and scheduler skew);
 //! * [`Fault::EvictCaches`] — every operator cache is flushed before
@@ -36,7 +38,9 @@ pub enum Fault {
     BuilderPanic,
     /// Panic in the power model's `iteration`-th batched power fill
     /// (0-based): Picard iteration for steady/map jobs, time step for
-    /// transient jobs.
+    /// transient jobs. An envelope job streams all its bisection probes
+    /// through one batched panel, so its fill index counts Picard
+    /// iterations of that panel across probes, not per probe.
     SolverPanic {
         /// 0-based fill index at which the panic fires.
         iteration: usize,

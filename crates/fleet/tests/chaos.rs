@@ -135,6 +135,50 @@ fn one_panicking_job_is_isolated_and_every_other_line_is_bitwise_identical() {
     }
 }
 
+/// Envelope probes evaluate power through the job model's batched form
+/// like every other solve, so a scheduled solver panic fires inside an
+/// envelope job too (its fill index counts across the job's one
+/// streamed panel). On its own request, so the seeded schedules over
+/// [`chaos_request_jsonl`] keep their targets.
+#[test]
+fn a_solver_panic_fires_inside_an_envelope_job_and_leaves_no_residue() {
+    let src = concat!(
+        r#"{"type": "floorplan", "name": "quad", "tiles": {"rows": 2, "cols": 2, "p_min": 0.01, "p_max": 0.05, "seed": 7}}"#,
+        "\n",
+        r#"{"type": "envelope", "floorplan": "quad", "dynamic_w": 6, "leakage_w": 0.6, "axis": "vdd_scale", "lo": 0.5, "hi": 1.5, "tolerance": 0.01, "ambients_k": [300, 320]}"#,
+        "\n",
+    );
+    let request = parse_jsonl(src).expect("valid request");
+    let config = FleetConfig::default();
+    let baseline = normalized_lines(
+        &engine_for(&config, &request).run(&request.jobs),
+        &request.jobs,
+    );
+    assert!(baseline[0].contains("\"bracketed\":2"), "{}", baseline[0]);
+    for iteration in [0, 1, 2] {
+        let mut chaotic = engine_for(&config, &request);
+        chaotic.set_faults(Some(
+            FaultPlan::new().inject(0, Fault::SolverPanic { iteration }),
+        ));
+        let report = chaotic.run(&request.jobs);
+        let record = &report.jobs[0];
+        let Err(JobError::WorkerPanic { payload }) = &record.outcome else {
+            panic!(
+                "fill {iteration}: not a typed worker panic: {:?}",
+                record.outcome
+            );
+        };
+        assert!(payload.contains("injected fault"), "{payload}");
+        assert_eq!(record.attempts, 1, "panics never retry");
+        chaotic.set_faults(None);
+        assert_eq!(
+            normalized_lines(&chaotic.run(&request.jobs), &request.jobs),
+            baseline,
+            "fill {iteration}: recovery is bitwise"
+        );
+    }
+}
+
 #[test]
 fn seeded_fault_plans_scatter_mixed_faults_and_the_fleet_recovers() {
     let src = chaos_request_jsonl(8); // 40 jobs -> 5 scheduled faults

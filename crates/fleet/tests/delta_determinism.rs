@@ -13,15 +13,16 @@ use ptherm_fleet::{
 };
 
 /// A named steady base plus two identical `delta` re-solves against
-/// it, then an `envelope` bisection: with a single worker the first
-/// delta (job 1) always misses the result cache and the second (job 2)
-/// always hits it.
+/// it, then an `envelope` bisection whose budgets put the runaway
+/// boundary inside the interval on both fibers: with a single worker
+/// the first delta (job 1) always misses the result cache and the
+/// second (job 2) always hits it.
 const DELTA_REQUEST: &str = r#"
 {"type": "floorplan", "name": "quad", "tiles": {"rows": 2, "cols": 2, "p_min": 0.01, "p_max": 0.05, "seed": 7}}
 {"type": "steady", "floorplan": "quad", "name": "base", "dynamic_w": 0.25, "leakage_w": 0.02, "vdd_scales": [0.9, 1.0, 1.1], "ambients_k": [300, 320]}
 {"type": "delta", "base": "base", "vdd_scales": [0.95, 1.05], "activities": [0.6, 1.0]}
 {"type": "delta", "base": "base", "vdd_scales": [0.95, 1.05], "activities": [0.6, 1.0]}
-{"type": "envelope", "floorplan": "quad", "dynamic_w": 0.25, "leakage_w": 0.02, "axis": "vdd_scale", "lo": 0.5, "hi": 1.5, "tolerance": 0.01, "ambients_k": [300, 320]}
+{"type": "envelope", "floorplan": "quad", "dynamic_w": 6, "leakage_w": 0.6, "axis": "vdd_scale", "lo": 0.5, "hi": 1.5, "tolerance": 0.01, "ambients_k": [300, 320]}
 "#;
 
 fn run(faults: Option<FaultPlan>, retry: RetryPolicy) -> FleetReport {
@@ -164,9 +165,11 @@ fn retry_jitter_never_perturbs_delta_results() {
     }
 }
 
-/// The `envelope` job runs end to end: every fiber resolves to a typed
-/// boundary, and bisection provably spends fewer solves than the
-/// exhaustive march the report also prices.
+/// The `envelope` job runs end to end: every fiber brackets its
+/// boundary, in exactly the solves the bisection schedule prices (two
+/// endpoints plus seven midpoints per fiber), and bisection provably
+/// spends fewer solves than the exhaustive march the report also
+/// prices.
 #[test]
 fn envelope_jobs_resolve_every_fiber_with_fewer_solves_than_exhaustive() {
     let report = run(None, RetryPolicy::default());
@@ -175,8 +178,8 @@ fn envelope_jobs_resolve_every_fiber_with_fewer_solves_than_exhaustive() {
         other => panic!("job 3 is not an envelope report: {other:?}"),
     };
     assert_eq!(envelope.len(), 2, "one fiber per ambient");
-    assert_eq!(envelope.resolved_count(), envelope.len());
-    assert!(envelope.solves > 0);
+    assert_eq!(envelope.bracketed_count(), envelope.len());
+    assert_eq!(envelope.solves, 18);
     assert!(
         envelope.solves < envelope.exhaustive_solves / 4,
         "bisection beats the exhaustive march 4x: {} vs {}",
