@@ -994,6 +994,45 @@ mod tests {
     }
 
     #[test]
+    fn rises_match_the_full_torus_apply_bitwise_with_a_shared_scratch() {
+        // Gutter-tiled plans, so stencils are CG-refined, on two grids
+        // with different tori, served from one scratch (larger first).
+        use crate::thermal::map::tests::{bits, full_torus_apply};
+        let mut scratch = SpectralScratch::new();
+        for (rows, cols) in [(9, 9), (5, 7)] {
+            let fp = generator::tiled(ChipGeometry::paper_1mm(), rows, cols, 0.008, 0.02, 11)
+                .expect("tiled plan is valid");
+            let op = SpectralOperator::with_image_orders_threaded(
+                &fp,
+                2,
+                9,
+                DEFAULT_REFINEMENT_TOLERANCE,
+                1,
+            )
+            .unwrap();
+            assert!(op.refined_blocks() > 0, "gutter blocks must refine");
+            let live: Vec<f64> = fp.blocks().iter().map(|b| b.power).collect();
+            for powers in [live, vec![0.0; op.blocks()]] {
+                let mut got = vec![f64::NAN; op.blocks()];
+                op.rises_into(&powers, &mut scratch, &mut got);
+                let mut tiles = vec![0.0; op.map.tiles()];
+                for (stencil, &p) in op.stencils.iter().zip(&powers) {
+                    for &(cell, fraction) in stencil {
+                        tiles[cell as usize] += p * fraction;
+                    }
+                }
+                let field = full_torus_apply(&op.map, &tiles);
+                let want: Vec<f64> = op
+                    .sample_tiles
+                    .iter()
+                    .map(|&tile| field[tile as usize])
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
     fn zero_power_rises_are_exactly_zero() {
         let fp = tile_aligned(5, 4);
         let op = SpectralOperator::build(&fp).unwrap();

@@ -470,6 +470,20 @@ impl MapOperator {
     /// the stencil scatter; the spectral Picard engine
     /// ([`crate::cosim::SpectralOperator`]) scatters through its own
     /// (possibly CG-refined) stencils and enters here.
+    ///
+    /// Only work whose result is read is done, and every output bit is
+    /// that of the full-torus apply (full transforms, a `%` per mirrored
+    /// index). The forward skips the row transforms of the zero-padding
+    /// rows `ny..my` ([`Fft2::forward_padded`]: an all-`+0` row
+    /// transforms to all `+0`, so the column transforms see the same
+    /// values), costing `ny` row plus `mx` column transforms. The inverse
+    /// transforms only the `nx` columns copied out
+    /// ([`Fft2::inverse_cropped`]: a column transform reads only its own
+    /// column), costing `my` row plus `nx` column transforms. The parity
+    /// products find the mirrored row once per row and the mirrored
+    /// column by reading the row tail backwards, with the same arithmetic
+    /// in the same order. The `map` and `spectral` bitwise tests hold
+    /// all of this against a full-torus copy of the apply.
     pub(crate) fn rise_from_tiles_into(
         &self,
         tile_powers: &[f64],
@@ -484,50 +498,37 @@ impl MapOperator {
         );
         let (nx, ny, mx, my) = (self.shape.nx, self.shape.ny, self.shape.mx, self.shape.my);
 
-        // Zero-padded power grid on the torus.
+        // Zero-padded power grid on the torus. Clearing first re-zeroes
+        // the padding a previous render (or a bigger torus) left behind,
+        // which is what lets the forward transform skip rows `ny..`.
         let plane = mx * my;
         ws.re.clear();
         ws.re.resize(plane, 0.0);
         ws.im.clear();
         ws.im.resize(plane, 0.0);
-        for iy in 0..ny {
-            ws.re[iy * mx..iy * mx + nx].copy_from_slice(&tile_powers[iy * nx..(iy + 1) * nx]);
+        for (row, tiles) in ws.re.chunks_exact_mut(mx).zip(tile_powers.chunks_exact(nx)) {
+            row[..nx].copy_from_slice(tiles);
         }
-        self.fft.forward(&mut ws.re, &mut ws.im, &mut ws.scratch);
+        self.fft
+            .forward_padded(&mut ws.re, &mut ws.im, ny, &mut ws.scratch);
 
         // Accumulate the four parity products. The sum families convolve
         // the index-reversed power map; for a spectrum that is just the
         // same panel read at mirrored frequencies, so one forward
-        // transform serves all four terms.
-        ws.acc_re.clear();
+        // transform serves all four terms. Every accumulator entry is
+        // written, so its buffers need no zeroing.
         ws.acc_re.resize(plane, 0.0);
-        ws.acc_im.clear();
         ws.acc_im.resize(plane, 0.0);
-        let [dd, sd, ds, ss] = &self.spectra;
-        for ky in 0..my {
-            let kyr = (my - ky) % my;
-            for kx in 0..mx {
-                let kxr = (mx - kx) % mx;
-                let i = kx + mx * ky;
-                let i_rx = kxr + mx * ky;
-                let i_ry = kx + mx * kyr;
-                let i_rxy = kxr + mx * kyr;
-                let mut ar = dd.re[i] * ws.re[i] - dd.im[i] * ws.im[i];
-                let mut ai = dd.re[i] * ws.im[i] + dd.im[i] * ws.re[i];
-                ar += sd.re[i] * ws.re[i_rx] - sd.im[i] * ws.im[i_rx];
-                ai += sd.re[i] * ws.im[i_rx] + sd.im[i] * ws.re[i_rx];
-                ar += ds.re[i] * ws.re[i_ry] - ds.im[i] * ws.im[i_ry];
-                ai += ds.re[i] * ws.im[i_ry] + ds.im[i] * ws.re[i_ry];
-                ar += ss.re[i] * ws.re[i_rxy] - ss.im[i] * ws.im[i_rxy];
-                ai += ss.re[i] * ws.im[i_rxy] + ss.im[i] * ws.re[i_rxy];
-                ws.acc_re[i] = ar;
-                ws.acc_im[i] = ai;
-            }
-        }
+        parity_products(
+            &self.spectra,
+            (&ws.re, &ws.im),
+            (&mut ws.acc_re, &mut ws.acc_im),
+            mx,
+        );
         self.fft
-            .inverse(&mut ws.acc_re, &mut ws.acc_im, &mut ws.scratch);
-        for iy in 0..ny {
-            out[iy * nx..(iy + 1) * nx].copy_from_slice(&ws.acc_re[iy * mx..iy * mx + nx]);
+            .inverse_cropped(&mut ws.acc_re, &mut ws.acc_im, nx, &mut ws.scratch);
+        for (out, acc) in out.chunks_exact_mut(nx).zip(ws.acc_re.chunks_exact(mx)) {
+            out.copy_from_slice(&acc[..nx]);
         }
     }
 
@@ -596,10 +597,102 @@ impl MapOperator {
     }
 }
 
+/// Accumulates the four parity products over the whole `mx`-wide
+/// torus power spectrum `p` into `acc`: at frequency `(kx, ky)` the kernel
+/// spectra (diff,diff), (sum,diff), (diff,sum) and (sum,sum) multiply
+/// the power spectrum at `(kx, ky)`, `(−kx, ky)`, `(kx, −ky)` and
+/// `(−kx, −ky)` (indices mod the torus), summed in that order.
+///
+/// The mirrored row `(my − ky) mod my` is found once per row. Within a
+/// row, column 0 mirrors onto itself and the tails `1..mx` (length
+/// `n = mx − 1`) mirror slot `t` onto slot `n − 1 − t`, so the loop
+/// carries no per-element `%`. Every tail is sliced to length `n` by
+/// name before the loop, which lets the compiler drop its bounds checks
+/// and vectorize it (slices gathered in an array defeat that).
+fn parity_products(
+    spectra: &[MapSpectrum; 4],
+    (p_re, p_im): (&[f64], &[f64]),
+    (acc_re, acc_im): (&mut [f64], &mut [f64]),
+    mx: usize,
+) {
+    let [dd, sd, ds, ss] = spectra;
+    let my = acc_re.len() / mx;
+    let n = mx - 1;
+    for ky in 0..my {
+        let kyr = if ky == 0 { 0 } else { my - ky };
+        let (row, mirror) = (ky * mx, kyr * mx);
+        let (ddr0, ddr) = head_tail(&dd.re, row, mx);
+        let (ddi0, ddi) = head_tail(&dd.im, row, mx);
+        let (sdr0, sdr) = head_tail(&sd.re, row, mx);
+        let (sdi0, sdi) = head_tail(&sd.im, row, mx);
+        let (dsr0, dsr) = head_tail(&ds.re, row, mx);
+        let (dsi0, dsi) = head_tail(&ds.im, row, mx);
+        let (ssr0, ssr) = head_tail(&ss.re, row, mx);
+        let (ssi0, ssi) = head_tail(&ss.im, row, mx);
+        let (pr0, pr) = head_tail(p_re, row, mx);
+        let (pi0, pi) = head_tail(p_im, row, mx);
+        let (qr0, qr) = head_tail(p_re, mirror, mx);
+        let (qi0, qi) = head_tail(p_im, mirror, mx);
+        let (ar0, ar) = acc_re[row..row + mx].split_at_mut(1);
+        let (ai0, ai) = acc_im[row..row + mx].split_at_mut(1);
+        (ar0[0], ai0[0]) = parity_product(
+            [(ddr0, ddi0), (sdr0, sdi0), (dsr0, dsi0), (ssr0, ssi0)],
+            [(pr0, pi0), (pr0, pi0), (qr0, qi0), (qr0, qi0)],
+        );
+        let (ddr, ddi, sdr, sdi) = (&ddr[..n], &ddi[..n], &sdr[..n], &sdi[..n]);
+        let (dsr, dsi, ssr, ssi) = (&dsr[..n], &dsi[..n], &ssr[..n], &ssi[..n]);
+        let (pr, pi, qr, qi) = (&pr[..n], &pi[..n], &qr[..n], &qi[..n]);
+        let (ar, ai) = (&mut ar[..n], &mut ai[..n]);
+        for t in 0..n {
+            let u = n - 1 - t;
+            (ar[t], ai[t]) = parity_product(
+                [
+                    (ddr[t], ddi[t]),
+                    (sdr[t], sdi[t]),
+                    (dsr[t], dsi[t]),
+                    (ssr[t], ssi[t]),
+                ],
+                [
+                    (pr[t], pi[t]),
+                    (pr[u], pi[u]),
+                    (qr[t], qi[t]),
+                    (qr[u], qi[u]),
+                ],
+            );
+        }
+    }
+}
+
+/// Row `at..at + m` of a plane, split into its column-0 entry and its
+/// tail `1..m`.
+fn head_tail(plane: &[f64], at: usize, m: usize) -> (f64, &[f64]) {
+    let row = &plane[at..at + m];
+    (row[0], &row[1..])
+}
+
+/// The four parity products at one frequency: the kernel spectra `k` in
+/// the order (diff,diff), (sum,diff), (diff,sum), (sum,sum), against the
+/// power spectrum `p` at `(kx, ky)`, `(−kx, ky)`, `(kx, −ky)` and
+/// `(−kx, −ky)`, as `(re, im)` pairs.
+#[inline(always)]
+fn parity_product(k: [(f64, f64); 4], p: [(f64, f64); 4]) -> (f64, f64) {
+    let [(dd_re, dd_im), (sd_re, sd_im), (ds_re, ds_im), (ss_re, ss_im)] = k;
+    let [(p_re, p_im), (rx_re, rx_im), (ry_re, ry_im), (rxy_re, rxy_im)] = p;
+    let mut ar = dd_re * p_re - dd_im * p_im;
+    let mut ai = dd_re * p_im + dd_im * p_re;
+    ar += sd_re * rx_re - sd_im * rx_im;
+    ai += sd_re * rx_im + sd_im * rx_re;
+    ar += ds_re * ry_re - ds_im * ry_im;
+    ai += ds_re * ry_im + ds_im * ry_re;
+    ar += ss_re * rxy_re - ss_im * rxy_im;
+    ai += ss_re * rxy_im + ss_im * rxy_re;
+    (ar, ai)
+}
+
 /// Reusable per-worker scratch for map renders: the rasterized power
-/// grid, the split-complex FFT panels and the column scratch. Buffers
-/// size themselves on first use and are reused afterwards, so steady
-/// map rendering performs no heap allocation.
+/// grid, the split-complex FFT panels and the transforms' own scratch.
+/// Buffers size themselves on first use and are reused afterwards, so
+/// steady map rendering performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MapWorkspace {
     tile_powers: Vec<f64>,
@@ -618,10 +711,54 @@ impl MapWorkspace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cosim::ThermalOperator;
     use ptherm_floorplan::ChipGeometry;
+
+    /// [`MapOperator::rise_from_tiles_into`] at full torus extent: full
+    /// forward and inverse transforms and the parity loop indexed by a
+    /// per-element `%`. Bit-identity oracle for the pruned apply.
+    pub(crate) fn full_torus_apply(op: &MapOperator, tile_powers: &[f64]) -> Vec<f64> {
+        let (nx, ny, mx, my) = (op.shape.nx, op.shape.ny, op.shape.mx, op.shape.my);
+        let plane = mx * my;
+        let mut scratch = Fft2Scratch::new();
+        let (mut re, mut im) = (vec![0.0; plane], vec![0.0; plane]);
+        for iy in 0..ny {
+            re[iy * mx..iy * mx + nx].copy_from_slice(&tile_powers[iy * nx..(iy + 1) * nx]);
+        }
+        op.fft.forward(&mut re, &mut im, &mut scratch);
+        let (mut acc_re, mut acc_im) = (vec![0.0; plane], vec![0.0; plane]);
+        let [dd, sd, ds, ss] = &op.spectra;
+        for ky in 0..my {
+            let kyr = (my - ky) % my;
+            for kx in 0..mx {
+                let kxr = (mx - kx) % mx;
+                let i = kx + mx * ky;
+                let i_rx = kxr + mx * ky;
+                let i_ry = kx + mx * kyr;
+                let i_rxy = kxr + mx * kyr;
+                let mut ar = dd.re[i] * re[i] - dd.im[i] * im[i];
+                let mut ai = dd.re[i] * im[i] + dd.im[i] * re[i];
+                ar += sd.re[i] * re[i_rx] - sd.im[i] * im[i_rx];
+                ai += sd.re[i] * im[i_rx] + sd.im[i] * re[i_rx];
+                ar += ds.re[i] * re[i_ry] - ds.im[i] * im[i_ry];
+                ai += ds.re[i] * im[i_ry] + ds.im[i] * re[i_ry];
+                ar += ss.re[i] * re[i_rxy] - ss.im[i] * im[i_rxy];
+                ai += ss.re[i] * im[i_rxy] + ss.im[i] * re[i_rxy];
+                acc_re[i] = ar;
+                acc_im[i] = ai;
+            }
+        }
+        op.fft.inverse(&mut acc_re, &mut acc_im, &mut scratch);
+        (0..ny)
+            .flat_map(|iy| acc_re[iy * mx..iy * mx + nx].iter().copied())
+            .collect()
+    }
+
+    pub(crate) fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     /// A floorplan whose blocks ARE the tiles of an `nx × ny` grid
     /// ([`ptherm_floorplan::generator::tile_aligned`]), with
@@ -658,6 +795,26 @@ mod tests {
         assert!(gap <= 1e-9, "max |ΔT| = {gap:e} K");
         // And the field is physically sensible: all rises positive.
         assert!(direct.iter().all(|&r| r > 0.0));
+    }
+
+    #[test]
+    fn pruned_apply_matches_the_full_torus_apply_bitwise() {
+        // One workspace across every grid, largest torus first: each
+        // pruned forward must re-zero the padding rows a bigger torus
+        // (or the previous render) left behind.
+        let fp = Floorplan::paper_three_blocks();
+        let mut ws = MapWorkspace::new();
+        for (nx, ny) in [(64, 64), (50, 30), (33, 17), (6, 5), (1, 7)] {
+            let op = MapOperator::new(&fp, nx, ny);
+            for p in [powers(&fp), vec![0.0; 3]] {
+                let mut got = vec![f64::NAN; op.tiles()];
+                op.rise_map_into(&p, &mut ws, &mut got);
+                let mut tiles = vec![0.0; op.tiles()];
+                op.rasterize_into(&p, &mut tiles);
+                let want = full_torus_apply(&op, &tiles);
+                assert_eq!(bits(&got), bits(&want), "{nx}x{ny} powers {p:?}");
+            }
+        }
     }
 
     #[test]
