@@ -19,13 +19,21 @@
 //! 3. **exactness** — on a 256-block coincident grid the spectral and
 //!    dense fixed points agree to ≤ 1e-6 K with identical outcome
 //!    kinds (the same term-for-term contract the validation suites
-//!    pin).
+//!    pin),
+//! 4. **refinement** — the ladder's tile-aligned plans never refine, so
+//!    a gutter rung times the CG stencil refinement on its own: a
+//!    `generator::tiled` plan (blocks at 90% of the tile pitch, every
+//!    block refines) against a tile-aligned plan on the same grid and
+//!    3 mm die, one thread, each build best of 3. Full mode gates
+//!    `refinement_build_ratio`, and both modes require every gutter
+//!    block to refine.
 //!
 //! Emits `BENCH_spectral.json` (`BENCH_spectral.quick.json` with
 //! `--quick`; override the path with `BENCH_SPECTRAL_JSON`), gated in
 //! CI by `benchcheck` against `ci/bench_bounds.quick.json`.
 
 use ptherm_bench::{header, report, JsonObject, ShapeCheck, Table};
+use ptherm_core::cosim::spectral::{SpectralOperator, DEFAULT_REFINEMENT_TOLERANCE};
 use ptherm_core::cosim::{RunOptions, ScenarioGrid, SweepBackend, SweepEngine, SweepOutcome};
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use ptherm_tech::Technology;
@@ -36,6 +44,8 @@ struct BenchConfig {
     sizes: [(usize, usize); 3],
     /// End-to-end speedup bar at the largest size vs projected dense.
     speedup_bar: f64,
+    /// Tile rows × columns of the refinement rung's plans.
+    gutter: (usize, usize),
     label: &'static str,
 }
 
@@ -48,6 +58,27 @@ fn tile_aligned_floorplan(nx: usize, ny: usize) -> Floorplan {
         0.002 + 0.0015 * ((i * 5) % 11) as f64
     })
     .expect("aligned tiling is valid")
+}
+
+/// Best-of-3 one-thread spectral build of `floorplan` at the default
+/// orders and tolerance: (seconds, refined blocks).
+fn timed_build(floorplan: &Floorplan) -> (f64, usize) {
+    let mut best = f64::INFINITY;
+    let mut refined = 0;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let op = SpectralOperator::with_image_orders_threaded(
+            floorplan,
+            2,
+            9,
+            DEFAULT_REFINEMENT_TOLERANCE,
+            1,
+        )
+        .expect("tiled and tile-aligned plans are grid-coincident");
+        best = best.min(t0.elapsed().as_secs_f64());
+        refined = op.refined_blocks();
+    }
+    (best, refined)
 }
 
 /// Least-squares slope of `ln(seconds)` vs `ln(blocks)` — the empirical
@@ -71,12 +102,14 @@ fn main() {
         BenchConfig {
             sizes: [(16, 16), (32, 16), (32, 32)],
             speedup_bar: 2.0,
+            gutter: (16, 16),
             label: "quick (CI smoke): 256/512/1024 blocks",
         }
     } else {
         BenchConfig {
             sizes: [(32, 32), (64, 32), (64, 64)],
             speedup_bar: 10.0,
+            gutter: (48, 48),
             label: "1024/2048/4096 blocks",
         }
     };
@@ -92,7 +125,9 @@ fn main() {
     let grid = ScenarioGrid::new(vec![Technology::cmos_120nm()])
         .vdd_scales(vec![0.95, 1.0, 1.05])
         .activities(vec![0.5, 1.0]);
-    const TIMED_RUNS: usize = 5;
+    // Sweeps take milliseconds, so the scaling fit needs many repeats
+    // to read the algorithm rather than host load.
+    const TIMED_RUNS: usize = 15;
 
     // --- the spectral scaling ladder -------------------------------------
     let mut out = Table::new(["blocks", "grid", "build_s", "sweep_s", "sweeps_per_s"]);
@@ -215,6 +250,27 @@ fn main() {
         rep_s.len()
     );
 
+    // --- refinement: gutter vs tile-aligned build, same grid and die -----
+    let (rows, cols) = cfg.gutter;
+    let die = ChipGeometry {
+        width: 3e-3,
+        length: 3e-3,
+        ..ChipGeometry::paper_1mm()
+    };
+    let gutter_plan =
+        generator::tiled(die, rows, cols, 0.002, 0.004, 31).expect("gutter tiling is valid");
+    let gutter_blocks = gutter_plan.blocks().len();
+    let aligned_plan =
+        generator::tile_aligned(die, cols, rows, |_| 0.003).expect("aligned tiling is valid");
+    let (gutter_build_s, gutter_refined_blocks) = timed_build(&gutter_plan);
+    let (aligned_build_s, _) = timed_build(&aligned_plan);
+    let refinement_build_ratio = gutter_build_s / aligned_build_s;
+    println!(
+        "refinement at {rows}x{cols} on a 3 mm die: gutter {gutter_build_s:.4} s \
+         ({gutter_refined_blocks}/{gutter_blocks} refined) vs aligned {aligned_build_s:.4} s \
+         ({refinement_build_ratio:.1}x)"
+    );
+
     // --- BENCH_spectral.json ----------------------------------------------
     let mut json = JsonObject::new();
     json.string("bench", "spectral")
@@ -234,7 +290,12 @@ fn main() {
         .number("spectral_total_largest_s", spectral_total_largest_s)
         .number("speedup_vs_dense_at_largest", speedup)
         .number("max_gap_vs_dense_k", max_gap_k)
-        .number("peak_k", peak_k);
+        .number("peak_k", peak_k)
+        .integer("gutter_blocks", gutter_blocks as u64)
+        .number("gutter_build_s", gutter_build_s)
+        .number("aligned_build_s", aligned_build_s)
+        .number("refinement_build_ratio", refinement_build_ratio)
+        .integer("gutter_refined_blocks", gutter_refined_blocks as u64);
     let default_path = if quick {
         "BENCH_spectral.quick.json"
     } else {
@@ -273,6 +334,14 @@ fn main() {
             "spectral and dense fixed points agree to <= 1e-6 K at 256 blocks",
             max_gap_k <= 1e-6 && kinds_match,
             format!("max |dT| = {max_gap_k:.2e} K, outcome kinds match: {kinds_match}"),
+        ),
+        ShapeCheck::new(
+            format!("every block of the {rows}x{cols} gutter plan refines"),
+            gutter_refined_blocks >= gutter_blocks,
+            format!(
+                "{gutter_refined_blocks}/{gutter_blocks} refined, build {refinement_build_ratio:.1}x \
+                 the tile-aligned plan's"
+            ),
         ),
     ];
     std::process::exit(report(&checks));

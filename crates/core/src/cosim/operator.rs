@@ -16,14 +16,18 @@
 //! T_i = T_sink + Σ_j R[i][j] · P_j          (Eq. 21, factored)
 //! ```
 //!
-//! Building `R` does the expensive work (image-lattice expansion and
-//! `O(n² · images)` kernel evaluations); afterwards each thermal solve is
-//! a single `O(n²)` matrix-vector product with **zero allocation** via
-//! [`Matrix::mul_vec_into`]. See `docs/EQUATIONS.md` for the
+//! Building `R` does the expensive work: every entry sums the Eq. 20
+//! kernel over its source's image lattice, `O(n² · images)` terms. The
+//! build evaluates each *distinct* term only once (`ImageSums`): a
+//! term's bits depend only on the bits of `|dx|`, `|dy|` and the image
+//! depth, and blocks sharing a row or a size share most of them. Each
+//! entry then replays its terms in lattice order, so `R` is
+//! bit-identical to the term-by-term sum. Afterwards each thermal solve
+//! is a single `O(n²)` matrix-vector product with **zero allocation**
+//! via [`Matrix::mul_vec_into`]. See `docs/EQUATIONS.md` for the
 //! paper-equation map.
 
-use crate::thermal::images::expand_images_iter;
-use crate::thermal::profile::BlockKernel;
+use crate::thermal::image_sum::{groups_by_key, source_groups, ImageSums};
 use ptherm_floorplan::Floorplan;
 use ptherm_math::Matrix;
 
@@ -100,12 +104,18 @@ impl ThermalOperator {
 
     /// [`Self::with_image_orders`] with an explicit worker count.
     ///
-    /// The build is embarrassingly parallel and allocation-free per
-    /// entry: each worker owns a disjoint run of influence-matrix rows,
-    /// and every `(target, source)` entry streams the source's image
-    /// lattice through [`expand_images_iter`] — no per-block image `Vec`
-    /// exists. Every entry is computed identically regardless of the
-    /// worker count, so the result is bit-identical from 1 to N threads.
+    /// Each worker owns a disjoint run of influence-matrix rows and
+    /// streams them through one image-sum table (`ImageSums`, about
+    /// `distinct |dx| × 100` values at the default orders, reused from
+    /// pair to pair). Its targets are grouped into rows of equal centre
+    /// height, the sources into groups of equal `(w, l, cy)` bits, and
+    /// every (target row, source group) pair evaluates each distinct
+    /// image-kernel term once, then replays every entry's adds in
+    /// lattice order. Each entry is therefore bit-identical to the
+    /// term-by-term sum over
+    /// [`expand_images_iter`](crate::thermal::images::expand_images_iter),
+    /// whatever the grouping, so also from 1 to N threads. A plan with
+    /// no shared rows or sizes runs the same code with groups of one.
     pub fn with_image_orders_threaded(
         floorplan: &Floorplan,
         lateral_order: usize,
@@ -119,12 +129,9 @@ impl ThermalOperator {
         // (one-shot `ElectroThermalSolver::solve` calls on a handful of
         // blocks) build faster inline than fanned out.
         let threads = if n < 8 { 1 } else { threads };
-        // Unit-power kernels, hoisted once: Eq. 20 is linear in P, so the
-        // per-watt kernel of each source serves every target row.
-        let kernels: Vec<BlockKernel> = blocks
-            .iter()
-            .map(|b| BlockKernel::for_block(b, g.conductivity, 1.0))
-            .collect();
+        // One unit-power kernel per source group: Eq. 20 is linear in
+        // P, and equal (w, l) bits give equal kernel bits.
+        let groups = source_groups(blocks, 0..n, g.conductivity);
         let fingerprint = operator_fingerprint(floorplan, lateral_order, z_order);
         let mut influence = Matrix::zeros(n, n);
         if n == 0 {
@@ -137,23 +144,28 @@ impl ThermalOperator {
             };
         }
         ptherm_par::par_partition_mut(threads, influence.as_mut_slice(), n, |first_row, rows| {
-            for (di, row) in rows.chunks_mut(n).enumerate() {
-                let target = &blocks[first_row + di];
-                for ((entry, source), kernel) in row.iter_mut().zip(blocks).zip(&kernels) {
-                    let mut rise = 0.0;
-                    for img in expand_images_iter(
-                        source.cx,
-                        source.cy,
-                        g.width,
-                        g.length,
-                        g.thickness,
-                        lateral_order,
-                        z_order,
-                    ) {
-                        rise += img.sign
-                            * kernel.rise(target.cx - img.cx, target.cy - img.cy, img.depth);
+            let mut sums = ImageSums::new(g, lateral_order, z_order);
+            let mut entries = Vec::new();
+            let mut out = Vec::new();
+            let targets = first_row..first_row + rows.len() / n;
+            let target_rows = groups_by_key(targets.map(|i| (i, blocks[i].cy.to_bits())));
+            for row in &target_rows {
+                let Some(&first) = row.first() else { continue };
+                for group in &groups {
+                    entries.clear();
+                    for &t in row {
+                        let tx = blocks[t].cx;
+                        entries.extend(group.members.iter().map(|&s| (tx, blocks[s].cx)));
                     }
-                    *entry = rise;
+                    out.resize(entries.len(), 0.0);
+                    sums.row(group, blocks[first].cy, &entries, &mut out);
+                    let mut rises = out.iter();
+                    for &t in row {
+                        let target = &mut rows[(t - first_row) * n..(t - first_row + 1) * n];
+                        for (&s, &rise) in group.members.iter().zip(&mut rises) {
+                            target[s] = rise;
+                        }
+                    }
                 }
             }
         });
@@ -418,6 +430,93 @@ mod tests {
                 parallel.influence().as_slice(),
                 "threads = {threads}"
             );
+        }
+    }
+
+    /// The term-by-term build the memoized image sums replaced: every
+    /// entry streams its source's whole image lattice through
+    /// `BlockKernel::rise`.
+    fn term_by_term_influence(fp: &Floorplan, lateral_order: usize, z_order: usize) -> Vec<f64> {
+        use crate::thermal::images::expand_images_iter;
+        use crate::thermal::profile::BlockKernel;
+        let g = fp.geometry();
+        let mut out = Vec::new();
+        for target in fp.blocks() {
+            for source in fp.blocks() {
+                let kernel = BlockKernel::for_block(source, g.conductivity, 1.0);
+                let mut rise = 0.0;
+                for img in expand_images_iter(
+                    source.cx,
+                    source.cy,
+                    g.width,
+                    g.length,
+                    g.thickness,
+                    lateral_order,
+                    z_order,
+                ) {
+                    rise +=
+                        img.sign * kernel.rise(target.cx - img.cx, target.cy - img.cy, img.depth);
+                }
+                out.push(rise);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn memoized_build_matches_the_term_by_term_sum_bitwise() {
+        use ptherm_floorplan::{generator, Block, ChipGeometry};
+        let die = |w: f64, l: f64| ChipGeometry {
+            width: w,
+            length: l,
+            ..ChipGeometry::paper_1mm()
+        };
+        // Rows alternate two block widths, so each row holds two source
+        // groups and every target row sees both kernels.
+        let mixed: Vec<Block> = (0..3)
+            .flat_map(|r| {
+                (0..5).map(move |c| {
+                    let w = if c % 2 == 0 { 0.12e-3 } else { 0.16e-3 };
+                    let (cx, cy) = (0.1e-3 + 0.2e-3 * c as f64, 0.15e-3 + 0.3e-3 * r as f64);
+                    Block::new(format!("m{r}-{c}"), cx, cy, w, 0.2e-3, 0.01)
+                })
+            })
+            .collect();
+        let plans = [
+            // Gutter plans of both aspect ratios: blocks longer in y
+            // (`along_y`), then longer in x.
+            generator::tiled(die(1.0e-3, 1.2e-3), 5, 7, 0.01, 0.02, 3).expect("tiled plan"),
+            generator::tiled(die(1.1e-3, 1.0e-3), 7, 4, 0.01, 0.02, 5).expect("tiled plan"),
+            generator::tile_aligned(ChipGeometry::paper_1mm(), 6, 5, |i| 0.01 + 0.001 * i as f64)
+                .expect("aligned plan"),
+            Floorplan::paper_three_blocks(),
+            Floorplan::new(ChipGeometry::paper_1mm(), mixed).expect("mixed plan"),
+        ];
+        for (p, fp) in plans.iter().enumerate() {
+            for (lateral_order, z_order) in [(2, 9), (1, 1)] {
+                let want: Vec<u64> = term_by_term_influence(fp, lateral_order, z_order)
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                for threads in [1, 2, 8] {
+                    let op = ThermalOperator::with_image_orders_threaded(
+                        fp,
+                        lateral_order,
+                        z_order,
+                        threads,
+                    );
+                    let got: Vec<u64> = op
+                        .influence()
+                        .as_slice()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "plan {p}, orders ({lateral_order}, {z_order}), {threads} threads"
+                    );
+                }
+            }
         }
     }
 

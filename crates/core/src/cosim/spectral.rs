@@ -38,6 +38,16 @@
 //! area overlap, and conserves total power for the far field. A CG
 //! breakdown falls back to the area-overlap stencil (never an error).
 //!
+//! The exact near fields are most of the build's cost: 1,000 kernel
+//! terms per probe, ~50 probes per block. A term's bits depend only on
+//! the bits of `|dx|`, `|dy|` and the image depth, so blocks sharing
+//! `(w, l, cy)` bits (a tile row of a gutter plan) are refined as one
+//! group: each probe row evaluates every distinct term once into a
+//! table and replays each probe's adds in lattice order (`ImageSums`).
+//! Every near field, and so every refined stencil, is bit-identical to
+//! the term-by-term sum. Groups stream through one table per worker;
+//! a group's windows and near fields are dropped once it is fitted.
+//!
 //! Floorplans whose block centres sit on *no* uniform grid (up to
 //! [`MAX_GRID_AXIS`] tiles per axis) are rejected with the typed
 //! [`SpectralGridError`]; the sweep engine's `Auto` backend falls back
@@ -48,7 +58,8 @@
 //!
 //! The build is bit-identical across thread counts (the kernel assembly
 //! is row-partitioned with identical per-entry arithmetic, the CG
-//! refinement is a pure per-block function mapped in input order), and
+//! refinement is a pure per-block function of the block's own inputs,
+//! whichever group and worker computes it), and
 //! the solve is per-lane: each lane's scatter → FFT → sample touches
 //! only that lane's powers, so outcomes are bitwise invariant across
 //! batch widths, worker counts and cache state — the same contract the
@@ -57,9 +68,8 @@
 use crate::cosim::batch::{drive_picard, BatchPowerModel, BatchWorkspace, LaneStart};
 use crate::cosim::sweep::SweepOutcome;
 use crate::cosim::ElectroThermalSolver;
-use crate::thermal::images::expand_images_iter;
+use crate::thermal::image_sum::{source_groups, ImageSums, SourceGroup};
 use crate::thermal::map::{map_operator_fingerprint, MapOperator, MapWorkspace};
-use crate::thermal::profile::BlockKernel;
 use ptherm_floorplan::{Block, Floorplan};
 use ptherm_math::cg::solve_cg;
 use ptherm_math::{CsrMatrix, MultiVec};
@@ -283,16 +293,26 @@ impl SpectralOperator {
                 floorplan,
                 tolerance,
             };
-            // Pure per-block function mapped in input order: the result
-            // is independent of the worker count.
-            let refinements = ptherm_par::par_map(threads, &suspects, |_, &block| {
-                refiner.refine(block, &stencils[block])
-            });
-            for (&block, refinement) in suspects.iter().zip(refinements) {
-                if let Some(stencil) = refinement {
-                    stencils[block] = stencil;
-                    refined += 1;
-                }
+            // Suspects sharing (w, l, cy) bits share a kernel and their
+            // y-sites, so their exact near fields come from one image-sum
+            // table per probe row. Groups stream through one evaluator
+            // per worker; every block's result is a pure function of its
+            // own inputs, so it is independent of the grouping and of the
+            // worker count.
+            let groups = source_groups(
+                floorplan.blocks(),
+                suspects.iter().copied(),
+                floorplan.geometry().conductivity,
+            );
+            let refinements = ptherm_par::par_map_with(
+                threads,
+                &groups,
+                || ImageSums::new(floorplan.geometry(), lateral_order, z_order),
+                |sums, _, group| refiner.refine_group(sums, group, &stencils),
+            );
+            for (block, stencil) in refinements.into_iter().flatten() {
+                stencils[block] = stencil;
+                refined += 1;
             }
         }
 
@@ -397,6 +417,23 @@ struct StencilRefiner<'a> {
     tolerance: f64,
 }
 
+/// A block's refinement window: the support tiles (its default stencil's
+/// bounding box grown by one ring, the unknowns) and the probe box
+/// (grown by three rings, row-major, where the near field is fitted).
+struct Patch {
+    support: Vec<(usize, usize)>,
+    /// Probe box corners, inclusive tile indices.
+    px: (usize, usize),
+    py: (usize, usize),
+}
+
+impl Patch {
+    /// Probe tiles in row-major order.
+    fn probes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (self.py.0..=self.py.1).flat_map(|y| (self.px.0..=self.px.1).map(move |x| (x, y)))
+    }
+}
+
 impl StencilRefiner<'_> {
     /// Tile-to-tile per-watt rise `G(target, source)` through the four
     /// parity kernels — exactly the entry the FFT apply realizes.
@@ -410,36 +447,15 @@ impl StencilRefiner<'_> {
         dd[ddx + mx * ddy] + sd[sdx + mx * ddy] + ds[ddx + mx * sdy] + ss[sdx + mx * sdy]
     }
 
-    /// Exact per-watt rise of `block` at the centre of tile `(tx, ty)`:
-    /// the dense operator's truncated image sum, evaluated directly.
-    fn exact_rise(&self, block: &Block, tx: usize, ty: usize) -> f64 {
-        let g = self.floorplan.geometry();
-        let kernel = BlockKernel::for_block(block, g.conductivity, 1.0);
-        let (cx, cy) = self.map.tile_center(tx, ty);
-        let mut rise = 0.0;
-        for img in expand_images_iter(
-            block.cx,
-            block.cy,
-            g.width,
-            g.length,
-            g.thickness,
-            self.map.lateral_order(),
-            self.map.z_order(),
-        ) {
-            rise += img.sign * kernel.rise(cx - img.cx, cy - img.cy, img.depth);
+    /// The refinement window of a block with stencil `default`, or
+    /// `None` when the stencil is empty (nothing to measure) or the
+    /// support would exceed [`MAX_REFINEMENT_SUPPORT`] unknowns (the
+    /// block keeps its area-overlap stencil).
+    fn patch(&self, default: &[(u32, f64)]) -> Option<Patch> {
+        if default.is_empty() {
+            return None;
         }
-        rise
-    }
-
-    /// Refined stencil for `block`, or `None` when the default already
-    /// meets the tolerance, the patch is too large, or CG fails to beat
-    /// the default (the area-overlap stencil is always a safe fallback).
-    fn refine(&self, block: usize, default: &[(u32, f64)]) -> Option<Vec<(u32, f64)>> {
         let (nx, ny) = (self.map.nx(), self.map.ny());
-        let b = &self.floorplan.blocks()[block];
-
-        // Tile bounding box of the default stencil, grown by one ring
-        // for the support (unknowns) and three for the probes.
         let mut x0 = usize::MAX;
         let mut x1 = 0usize;
         let mut y0 = usize::MAX;
@@ -451,32 +467,98 @@ impl StencilRefiner<'_> {
             y0 = y0.min(cy);
             y1 = y1.max(cy);
         }
-        let clip_box = |x0: usize, x1: usize, y0: usize, y1: usize, ring: usize| {
-            (
-                x0.saturating_sub(ring),
-                (x1 + ring).min(nx - 1),
-                y0.saturating_sub(ring),
-                (y1 + ring).min(ny - 1),
-            )
+        let grow = |lo: usize, hi: usize, n: usize, ring: usize| {
+            (lo.saturating_sub(ring), (hi + ring).min(n - 1))
         };
-        let (sx0, sx1, sy0, sy1) = clip_box(x0, x1, y0, y1, 1);
-        let (px0, px1, py0, py1) = clip_box(x0, x1, y0, y1, 3);
-        let support: Vec<(usize, usize)> = (sy0..=sy1)
-            .flat_map(|y| (sx0..=sx1).map(move |x| (x, y)))
+        let (sx, sy) = (grow(x0, x1, nx, 1), grow(y0, y1, ny, 1));
+        let support: Vec<(usize, usize)> = (sy.0..=sy.1)
+            .flat_map(|y| (sx.0..=sx.1).map(move |x| (x, y)))
             .collect();
-        let probes: Vec<(usize, usize)> = (py0..=py1)
-            .flat_map(|y| (px0..=px1).map(move |x| (x, y)))
-            .collect();
-        let m = support.len();
-        if m > MAX_REFINEMENT_SUPPORT {
-            return None;
-        }
+        (support.len() <= MAX_REFINEMENT_SUPPORT).then(|| Patch {
+            support,
+            px: grow(x0, x1, nx, 3),
+            py: grow(y0, y1, ny, 3),
+        })
+    }
 
-        // Exact per-watt near field and the default stencil's error.
-        let exact: Vec<f64> = probes
+    /// Exact per-watt near fields at the probes of `patches`, windows
+    /// of `group` members: one [`ImageSums::row`] per probe row across
+    /// the whole group. Each value is bit-identical to the term-by-term
+    /// image sum at that probe's tile centre.
+    fn near_fields(
+        &self,
+        sums: &mut ImageSums,
+        group: &SourceGroup,
+        patches: &[(usize, Patch)],
+    ) -> Vec<Vec<f64>> {
+        let mut fields: Vec<Vec<f64>> = patches
             .iter()
-            .map(|&(x, y)| self.exact_rise(b, x, y))
+            .map(|(_, p)| vec![0.0; (p.px.1 - p.px.0 + 1) * (p.py.1 - p.py.0 + 1)])
             .collect();
+        let blocks = self.floorplan.blocks();
+        let rows_lo = patches.iter().map(|(_, p)| p.py.0).min().unwrap_or(1);
+        let rows_hi = patches.iter().map(|(_, p)| p.py.1).max().unwrap_or(0);
+        let mut entries = Vec::new();
+        let mut out = Vec::new();
+        for y in rows_lo..=rows_hi {
+            entries.clear();
+            for (block, p) in patches
+                .iter()
+                .filter(|(_, p)| (p.py.0..=p.py.1).contains(&y))
+            {
+                let sx = blocks[*block].cx;
+                entries.extend((p.px.0..=p.px.1).map(|x| (self.map.tile_center(x, y).0, sx)));
+            }
+            out.resize(entries.len(), 0.0);
+            let ty = self.map.tile_center(0, y).1;
+            sums.row(group, ty, &entries, &mut out);
+            let mut exact = out.iter();
+            for ((_, p), field) in patches.iter().zip(&mut fields) {
+                if (p.py.0..=p.py.1).contains(&y) {
+                    let width = p.px.1 - p.px.0 + 1;
+                    let at = (y - p.py.0) * width;
+                    for (slot, &rise) in field[at..at + width].iter_mut().zip(&mut exact) {
+                        *slot = rise;
+                    }
+                }
+            }
+        }
+        fields
+    }
+
+    /// Refines one source group's blocks: windows, exact near fields,
+    /// then one fit per block. Returns the blocks whose stencil was
+    /// replaced, with their new stencils.
+    fn refine_group(
+        &self,
+        sums: &mut ImageSums,
+        group: &SourceGroup,
+        stencils: &[Vec<(u32, f64)>],
+    ) -> Vec<(usize, Vec<(u32, f64)>)> {
+        let patches: Vec<(usize, Patch)> = group
+            .members
+            .iter()
+            .filter_map(|&block| Some((block, self.patch(stencils.get(block)?)?)))
+            .collect();
+        let fields = self.near_fields(sums, group, &patches);
+        patches
+            .iter()
+            .zip(&fields)
+            .filter_map(|((block, patch), exact)| {
+                Some((*block, self.fit(&stencils[*block], patch, exact)?))
+            })
+            .collect()
+    }
+
+    /// Refined stencil for a block with stencil `default`, window
+    /// `patch` and exact per-watt near field `exact` (probe order), or
+    /// `None` when the default already meets the tolerance or CG fails
+    /// to beat it (the area-overlap stencil is always a safe fallback).
+    fn fit(&self, default: &[(u32, f64)], patch: &Patch, exact: &[f64]) -> Option<Vec<(u32, f64)>> {
+        let nx = self.map.nx();
+        let support = &patch.support;
+        let probes: Vec<(usize, usize)> = patch.probes().collect();
+        let m = support.len();
         let predicted = |stencil: &[(u32, f64)]| -> Vec<f64> {
             probes
                 .iter()
@@ -492,7 +574,7 @@ impl StencilRefiner<'_> {
         };
         let error = |pred: &[f64]| -> f64 {
             pred.iter()
-                .zip(&exact)
+                .zip(exact)
                 .map(|(p, e)| (p - e).abs())
                 .fold(0.0f64, f64::max)
         };
@@ -703,7 +785,7 @@ mod tests {
     use super::*;
     use crate::cosim::batch::{BatchedSolver, FnBatchPower};
     use crate::cosim::ThermalOperator;
-    use ptherm_floorplan::{generator, ChipGeometry};
+    use ptherm_floorplan::{generator, Block, ChipGeometry};
 
     fn tile_aligned(nx: usize, ny: usize) -> Floorplan {
         generator::tile_aligned(ChipGeometry::paper_1mm(), nx, ny, |i| {
@@ -1030,6 +1112,139 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
             }
         }
+    }
+
+    /// Exact per-watt rise of `block` at the centre of tile `(tx, ty)`:
+    /// the term-by-term image sum the memoized near fields replaced.
+    fn exact_rise(refiner: &StencilRefiner, block: &Block, tx: usize, ty: usize) -> f64 {
+        use crate::thermal::images::expand_images_iter;
+        use crate::thermal::profile::BlockKernel;
+        let g = refiner.floorplan.geometry();
+        let kernel = BlockKernel::for_block(block, g.conductivity, 1.0);
+        let (cx, cy) = refiner.map.tile_center(tx, ty);
+        let mut rise = 0.0;
+        for img in expand_images_iter(
+            block.cx,
+            block.cy,
+            g.width,
+            g.length,
+            g.thickness,
+            refiner.map.lateral_order(),
+            refiner.map.z_order(),
+        ) {
+            rise += img.sign * kernel.rise(cx - img.cx, cy - img.cy, img.depth);
+        }
+        rise
+    }
+
+    /// Checks one plan's build against the per-block oracle path (window,
+    /// term-by-term near field, fit): every near field and every final
+    /// stencil bit for bit. Returns (suspects, multi-tile defaults,
+    /// over-cap suspects).
+    fn assert_refinement_matches_the_oracle(
+        fp: &Floorplan,
+        lateral_order: usize,
+        z_order: usize,
+    ) -> (usize, usize, usize) {
+        let tolerance = DEFAULT_REFINEMENT_TOLERANCE;
+        let op =
+            SpectralOperator::with_image_orders_threaded(fp, lateral_order, z_order, tolerance, 1)
+                .unwrap();
+        let kernels = op.map.spatial_kernels(1);
+        let refiner = StencilRefiner {
+            map: &op.map,
+            kernels: &kernels,
+            floorplan: fp,
+            tolerance,
+        };
+        let blocks = fp.blocks();
+        let defaults: Vec<Vec<(u32, f64)>> = (0..blocks.len())
+            .map(|i| op.map.stencil_of(i).to_vec())
+            .collect();
+        let (tile_w, tile_l) = op.map.tile_pitch();
+        let suspects: Vec<usize> = (0..blocks.len())
+            .filter(|&i| {
+                let b = &blocks[i];
+                defaults[i].len() > 1
+                    || (b.w - tile_w).abs() > 1e-9 * tile_w
+                    || (b.l - tile_l).abs() > 1e-9 * tile_l
+            })
+            .collect();
+        let bits = |s: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            s.iter().map(|&(c, q)| (c, q.to_bits())).collect()
+        };
+
+        // Near fields, group by group as the build computes them.
+        let mut sums = ImageSums::new(fp.geometry(), lateral_order, z_order);
+        let groups = source_groups(blocks, suspects.iter().copied(), fp.geometry().conductivity);
+        let mut over_cap = 0;
+        for group in &groups {
+            let patches: Vec<(usize, Patch)> = group
+                .members
+                .iter()
+                .filter_map(|&i| Some((i, refiner.patch(&defaults[i])?)))
+                .collect();
+            over_cap += group.members.len() - patches.len();
+            let fields = refiner.near_fields(&mut sums, group, &patches);
+            for ((i, patch), field) in patches.iter().zip(&fields) {
+                let want: Vec<u64> = patch
+                    .probes()
+                    .map(|(x, y)| exact_rise(&refiner, &blocks[*i], x, y).to_bits())
+                    .collect();
+                let got: Vec<u64> = field.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "block {i} near field");
+            }
+        }
+
+        // Final stencils against the per-block oracle path.
+        for (i, default) in defaults.iter().enumerate() {
+            let oracle = suspects
+                .contains(&i)
+                .then(|| refiner.patch(default))
+                .flatten()
+                .and_then(|patch| {
+                    let exact: Vec<f64> = patch
+                        .probes()
+                        .map(|(x, y)| exact_rise(&refiner, &blocks[i], x, y))
+                        .collect();
+                    refiner.fit(default, &patch, &exact)
+                })
+                .unwrap_or_else(|| default.clone());
+            assert_eq!(bits(&op.stencils[i]), bits(&oracle), "block {i} stencil");
+        }
+        let multi_tile = suspects.iter().filter(|&&i| defaults[i].len() > 1).count();
+        (suspects.len(), multi_tile, over_cap)
+    }
+
+    #[test]
+    fn memoized_near_fields_and_stencils_match_the_term_by_term_oracle_bitwise() {
+        // Gutter plans of both aspect ratios: every block refines.
+        for (rows, cols) in [(9, 9), (5, 7), (7, 4)] {
+            let fp = generator::tiled(ChipGeometry::paper_1mm(), rows, cols, 0.008, 0.02, 11)
+                .expect("tiled plan is valid");
+            for (lateral, z) in [(2, 9), (1, 3)] {
+                let (suspects, _, _) = assert_refinement_matches_the_oracle(&fp, lateral, z);
+                assert_eq!(suspects, rows * cols);
+            }
+        }
+        // On a 32×32 grid (centres at tile centres (k + ½)/32 mm):
+        // 0.2 mm blocks straddle several tiles, and one 0.5 mm block's
+        // support exceeds MAX_REFINEMENT_SUPPORT.
+        let at = |k: f64| (k + 0.5) / 32.0 * 1e-3;
+        let mut blocks = vec![Block::new("big", at(8.0), at(8.0), 0.5e-3, 0.5e-3, 0.05)];
+        for (n, (kx, ky)) in [(24.0, 4.0), (24.0, 12.0), (24.0, 24.0), (12.0, 26.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let w = if n % 2 == 0 { 0.2e-3 } else { 0.13e-3 };
+            blocks.push(Block::new(format!("b{n}"), at(kx), at(ky), w, 0.2e-3, 0.01));
+        }
+        let fp = Floorplan::new(ChipGeometry::paper_1mm(), blocks).expect("valid plan");
+        assert_eq!(infer_grid(&fp), Ok((32, 32)));
+        let (suspects, multi_tile, over_cap) = assert_refinement_matches_the_oracle(&fp, 2, 9);
+        assert_eq!(suspects, 5);
+        assert!(multi_tile >= 4, "{multi_tile} multi-tile stencils");
+        assert_eq!(over_cap, 1, "the big block keeps its area-overlap stencil");
     }
 
     #[test]

@@ -108,6 +108,14 @@ impl Iterator for AxisImages {
     }
 }
 
+/// One axis of the lateral lattice: the ascending, deduplicated
+/// reflections `2·m·period ± base`, `m ∈ [−order, order]`. The lattice
+/// of [`lateral_images_iter`] is the cross product of the x and y
+/// sequences, x outer.
+pub(crate) fn axis_images(base: f64, period: f64, order: usize) -> impl Iterator<Item = f64> {
+    AxisImages::new(base, period, order)
+}
+
 /// Lazy lateral image lattice of a block centre (including the original)
 /// for a `die_w × die_l` die: the cross product of both axis reflection
 /// sequences, emitted in ascending `(x, y)` lexicographic order with

@@ -5,6 +5,9 @@
 //!   and their `min` combination (Eq. 20),
 //! * [`images`] — the method of images enforcing adiabatic die sides and
 //!   the isothermal bottom (Figs. 6–7),
+//! * `image_sum` — the exact per-watt image sum both operator builds
+//!   evaluate, with each distinct kernel term computed once and every
+//!   sum bit-identical to the term-by-term loop,
 //! * [`profile`] — [`ThermalModel`]: superposition over a floorplan
 //!   (Eq. 21) with images, surface maps and cross-sections,
 //! * [`map`] — FFT-accelerated high-resolution temperature maps: the
@@ -37,6 +40,7 @@
 
 pub mod capacitance;
 pub mod conductivity;
+pub(crate) mod image_sum;
 pub mod images;
 pub mod map;
 pub mod profile;

@@ -51,17 +51,66 @@ impl BlockKernel {
     /// `z` — the hot loop of every temperature query.
     #[inline]
     pub(crate) fn rise(&self, dx: f64, dy: f64, z: f64) -> f64 {
+        self.offset(dx, dy).rise(self, z * z)
+    }
+
+    /// [`Self::rise`] at one lateral offset for every squared depth in
+    /// `z2`, written to `out`: the depth-independent half of the formula
+    /// is computed once, and each depth repeats exactly the operations
+    /// `rise` performs, so `out[k]` has the bits of
+    /// `rise(dx, dy, z_k)`.
+    #[inline]
+    pub(crate) fn rise_column(&self, dx: f64, dy: f64, z2: &[f64], out: &mut [f64]) {
+        let offset = self.offset(dx, dy);
+        for (o, &zz) in out.iter_mut().zip(z2) {
+            *o = offset.rise(self, zz);
+        }
+    }
+
+    /// The depth-independent terms of Eq. 20 at `(dx, dy)`. They read
+    /// the displacement only through `|u|` and `v·v`, so the sign of
+    /// either component never moves a bit.
+    #[inline]
+    fn offset(&self, dx: f64, dy: f64) -> LineOffset {
         let (u, v) = if self.along_y { (dy, dx) } else { (dx, dy) };
         let u = u.abs();
-        let w2 = v * v + z * z;
-        let r_plus = ((u + self.half) * (u + self.half) + w2).sqrt();
-        let r_minus = ((u - self.half) * (u - self.half) + w2).sqrt();
-        let denom = u - self.half + r_minus;
-        if denom <= 0.0 {
-            return self.t0;
+        let near = u - self.half;
+        let far = u + self.half;
+        LineOffset {
+            near,
+            far,
+            near2: near * near,
+            far2: far * far,
+            v2: v * v,
         }
-        let line = self.line_prefactor * ((u + self.half + r_plus) / denom).ln();
-        self.t0.min(line)
+    }
+}
+
+/// Eq. 19's line-source distances at one lateral offset, before the
+/// depth enters: `u ∓ s/2`, their squares and `v²`.
+#[derive(Debug, Clone, Copy)]
+struct LineOffset {
+    near: f64,
+    far: f64,
+    near2: f64,
+    far2: f64,
+    v2: f64,
+}
+
+impl LineOffset {
+    /// Eq. 20 at squared image depth `zz`, capped at the Eq. 18 centre
+    /// rise (also where the line field diverges, `denom ≤ 0`).
+    #[inline]
+    fn rise(&self, kernel: &BlockKernel, zz: f64) -> f64 {
+        let w2 = self.v2 + zz;
+        let r_plus = (self.far2 + w2).sqrt();
+        let r_minus = (self.near2 + w2).sqrt();
+        let denom = self.near + r_minus;
+        if denom <= 0.0 {
+            return kernel.t0;
+        }
+        let line = kernel.line_prefactor * ((self.far + r_plus) / denom).ln();
+        kernel.t0.min(line)
     }
 }
 
@@ -255,6 +304,52 @@ mod tests {
             vec![Block::new("b", 0.5e-3, 0.5e-3, 0.2e-3, 0.2e-3, power)],
         )
         .expect("valid plan")
+    }
+
+    /// Eq. 20 exactly as `BlockKernel::rise` evaluated it before its
+    /// depth-independent half was factored out.
+    fn rise_reference(kernel: &BlockKernel, dx: f64, dy: f64, z: f64) -> f64 {
+        let (u, v) = if kernel.along_y { (dy, dx) } else { (dx, dy) };
+        let u = u.abs();
+        let w2 = v * v + z * z;
+        let r_plus = ((u + kernel.half) * (u + kernel.half) + w2).sqrt();
+        let r_minus = ((u - kernel.half) * (u - kernel.half) + w2).sqrt();
+        let denom = u - kernel.half + r_minus;
+        if denom <= 0.0 {
+            return kernel.t0;
+        }
+        let line = kernel.line_prefactor * ((u + kernel.half + r_plus) / denom).ln();
+        kernel.t0.min(line)
+    }
+
+    #[test]
+    fn depth_column_matches_rise_at_every_depth_bitwise() {
+        let depths = [0.0, 0.6e-3, 1.2e-3, 5.4e-3];
+        let z2: Vec<f64> = depths.iter().map(|z| z * z).collect();
+        let mut capped = 0;
+        // Longer in x, longer in y (`along_y`), square.
+        for (w, l) in [(0.2e-3, 0.1e-3), (0.1e-3, 0.2e-3), (0.2e-3, 0.2e-3)] {
+            let block = Block::new("b", 0.0, 0.0, w, l, 1.0);
+            let kernel = BlockKernel::for_block(&block, 148.0, 1.0);
+            for (dx, dy) in [
+                (0.0, 0.0),         // centre: on the line, denom = 0 at z = 0
+                (0.05e-3, 0.05e-3), // inside the source, on the line in u
+                (-0.0, 0.3e-3),     // u or v = 0 (negative zero)
+                (0.4e-3, 0.0),      // v or u = 0
+                (-0.4e-3, -0.25e-3),
+                (3e-3, -2e-3),
+            ] {
+                let mut column = vec![f64::NAN; z2.len()];
+                kernel.rise_column(dx, dy, &z2, &mut column);
+                for (&z, got) in depths.iter().zip(&column) {
+                    let want = rise_reference(&kernel, dx, dy, z);
+                    assert_eq!(got.to_bits(), want.to_bits(), "({dx:e}, {dy:e}, {z:e})");
+                    assert_eq!(kernel.rise(dx, dy, z).to_bits(), want.to_bits());
+                    capped += usize::from(got.to_bits() == kernel.t0.to_bits());
+                }
+            }
+        }
+        assert!(capped > 0, "the denom <= 0 cap must be exercised");
     }
 
     #[test]

@@ -35,10 +35,11 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
 ///
 /// * R1 `panic-freedom`: the job hot path — `core/src/cosim/*`
 ///   (which includes the seeded sweeps, the biased power law and
-///   the envelope bisector), `fleet/src/engine.rs`,
-///   `fleet/src/cache.rs`, `fleet/src/server.rs`, `par/src/*`. A
-///   panic here kills a worker mid-fleet-run (or a serve-mode
-///   connection thread).
+///   the envelope bisector), `core/src/thermal/image_sum.rs` (the
+///   image sums both operator builds run on a cache miss),
+///   `fleet/src/engine.rs`, `fleet/src/cache.rs`,
+///   `fleet/src/server.rs`, `par/src/*`. A panic here kills a worker
+///   mid-fleet-run (or a serve-mode connection thread).
 /// * R2 `determinism`: fingerprint, protocol and result-rendering
 ///   modules — `floorplan/src/fingerprint.rs`, `fleet/src/jobs.rs`
 ///   (home of `steady_result_fingerprint`, the delta result-cache
@@ -47,6 +48,7 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
 /// * R4 `float-compare`: both of the above sets.
 pub fn rules_for(rel: &str) -> RuleSet {
     let hot_path = rel.starts_with("crates/core/src/cosim/")
+        || rel == "crates/core/src/thermal/image_sum.rs"
         || rel == "crates/fleet/src/engine.rs"
         || rel == "crates/fleet/src/cache.rs"
         || rel == "crates/fleet/src/server.rs"

@@ -77,3 +77,20 @@ fn scenario_space_sources_are_inside_the_gated_scopes() {
         "the delta result-cache fingerprint lives in jobs.rs — R2 must apply"
     );
 }
+
+/// The operator builds' inner loop moved out of `cosim/` into the
+/// shared image-sum routine; it keeps the gates it had there, and the
+/// rest of `thermal/` stays outside them.
+#[test]
+fn the_image_sum_routine_keeps_the_hot_path_gates() {
+    let rules = rules_for("crates/core/src/thermal/image_sum.rs");
+    assert!(
+        rules.panic_freedom,
+        "image_sum.rs must carry R1 panic-freedom"
+    );
+    assert!(
+        rules.float_compare,
+        "image_sum.rs must carry R4 float-compare"
+    );
+    assert!(!rules_for("crates/core/src/thermal/profile.rs").panic_freedom);
+}
