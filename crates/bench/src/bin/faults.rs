@@ -1,11 +1,11 @@
 //! Fault-tolerance bench: recovery overhead of the fleet's chaos
 //! machinery, and the isolation audit, emitting `BENCH_faults.json`.
 //!
-//! Two runs of one synthetic mixed fleet (distinct floorplans, steady +
-//! transient jobs), repeated with their order alternating: a
-//! **fault-free** run and a **chaos** run under a deterministic
-//! [`FaultPlan`] scattering one fault per eight jobs across the
-//! retryable / panic / delay classes. Audits:
+//! Two one-worker runs of one synthetic mixed fleet (distinct
+//! floorplans, steady + transient jobs), repeated with their order
+//! alternating: a **fault-free** run and a **chaos** run under a
+//! deterministic [`FaultPlan`] scattering one fault per eight jobs
+//! across the retryable / panic / delay classes. Audits:
 //!
 //! * every *non-faulted* job's result line must be bitwise identical
 //!   (wall time normalized) between the two runs — a panicking or
@@ -32,6 +32,12 @@ use ptherm_fleet::{
 };
 use ptherm_floorplan::{generator, ChipGeometry, Floorplan};
 use std::time::Instant;
+
+/// Both sides run on one worker. With more, the ratio follows which
+/// job pays each floorplan's build and whether the workers contend for
+/// the cores, not what recovery costs; multi-worker chaos is covered by
+/// `crates/fleet/tests/chaos.rs`.
+const THREADS: usize = 1;
 
 struct BenchConfig {
     floorplans: usize,
@@ -121,8 +127,8 @@ fn fault_plan(jobs: usize) -> FaultPlan {
     plan
 }
 
-fn build_engine(floorplans: &[(String, Floorplan)], threads: usize) -> FleetEngine {
-    let mut builder = FleetEngineBuilder::new().threads(threads);
+fn build_engine(floorplans: &[(String, Floorplan)]) -> FleetEngine {
+    let mut builder = FleetEngineBuilder::new().threads(THREADS);
     for (name, plan) in floorplans {
         builder = builder.floorplan(name.clone(), plan.clone());
     }
@@ -182,13 +188,11 @@ fn bench(quick: bool) -> i32 {
     header(
         "Faults",
         &format!(
-            "chaos-run recovery overhead vs fault-free fleet, {} ({} threads)",
-            cfg.label,
-            ptherm_par::default_threads()
+            "chaos-run recovery overhead vs fault-free fleet, {} ({THREADS} worker)",
+            cfg.label
         ),
     );
 
-    let threads = ptherm_par::default_threads();
     let (floorplans, jobs) = synthetic_fleet(&cfg);
     let plan = fault_plan(jobs.len());
     let faulted: Vec<Option<&Fault>> = (0..jobs.len()).map(|j| plan.fault_for(j, 1)).collect();
@@ -221,7 +225,7 @@ fn bench(quick: bool) -> i32 {
     let (mut baseline, mut chaos, mut drained) = (None, None, None);
     for repeat in 0..cfg.repeats {
         for under_chaos in [repeat % 2 == 1, repeat % 2 == 0] {
-            let mut engine = build_engine(&floorplans, threads);
+            let mut engine = build_engine(&floorplans);
             if under_chaos {
                 engine.set_faults(Some(plan.clone()));
             }
@@ -299,7 +303,7 @@ fn bench(quick: bool) -> i32 {
         .integer("floorplans", cfg.floorplans as u64)
         .integer("jobs", jobs.len() as u64)
         .integer("faulted_jobs", plan.faulted_jobs() as u64)
-        .integer("threads", threads as u64)
+        .integer("threads", THREADS as u64)
         .integer("injected_panics", expected_panics as u64)
         .integer("injected_retryable", expected_retries as u64)
         .integer("observed_panics", chaos.panic_count() as u64)

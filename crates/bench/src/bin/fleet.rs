@@ -5,10 +5,10 @@
 //!
 //! * **batch** — `fleet --jobs <path|->`: parse a JSONL request
 //!   (`ptherm_fleet::jobs` schema, documented in
-//!   `docs/ARCHITECTURE.md`), run it on the work-stealing fleet engine
-//!   and print one JSON result line per job to stdout (stdout carries
-//!   *only* result lines; diagnostics go to stderr). Flags: `--threads
-//!   N`, `--cache-capacity N`.
+//!   `docs/ARCHITECTURE.md`), run it on the fleet engine and print
+//!   one JSON result line per job to stdout (stdout carries *only*
+//!   result lines; diagnostics go to stderr). Flags: `--threads N`,
+//!   `--cache-capacity N`.
 //! * **serve** / **client** — `fleet serve` runs the persistent socket
 //!   service, `fleet client` streams a request to it.
 //! * **bench** (default; `--quick` for the CI smoke shape) — a
@@ -152,7 +152,7 @@ fn serve(args: &[String]) -> i32 {
     let map = fleet_report.map_cache;
     eprintln!(
         "fleet: {} jobs, {} ok; steady cache {}h/{}m/{}e, transient cache {}h/{}m/{}e, \
-         map cache {}h/{}m/{}e, {} steals",
+         map cache {}h/{}m/{}e",
         fleet_report.jobs.len(),
         fleet_report.ok_count(),
         steady.hits,
@@ -164,7 +164,6 @@ fn serve(args: &[String]) -> i32 {
         map.hits,
         map.misses,
         map.evictions,
-        fleet_report.steals,
     );
     // Final stderr line is machine-readable: one JSON object an
     // operator's supervisor can parse without touching stdout (which
@@ -729,14 +728,13 @@ fn bench(args: &[String]) -> i32 {
     ]);
     println!("{}", out.render());
     println!(
-        "steady cache: {} hits / {} misses / {} evictions; transient cache: {} / {} / {}; {} steals",
+        "steady cache: {} hits / {} misses / {} evictions; transient cache: {} / {} / {}",
         steady_stats.hits,
         steady_stats.misses,
         steady_stats.evictions,
         transient_stats.hits,
         transient_stats.misses,
         transient_stats.evictions,
-        amortized.steals,
     );
 
     // --- BENCH_fleet.json -------------------------------------------------
@@ -767,7 +765,6 @@ fn bench(args: &[String]) -> i32 {
         .integer("transient_cache_hits", transient_stats.hits)
         .integer("transient_cache_misses", transient_stats.misses)
         .integer("transient_cache_evictions", transient_stats.evictions)
-        .integer("steals", amortized.steals)
         .number("max_temp_gap_vs_cold_k", gap);
     let default_path = if quick {
         "BENCH_fleet.quick.json"

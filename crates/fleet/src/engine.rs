@@ -1,22 +1,21 @@
-//! The fleet engine: a work-stealing scheduler serving heterogeneous
-//! jobs across many floorplans off one shared operator cache.
+//! The fleet engine: runs heterogeneous jobs across many floorplans
+//! off one shared operator cache.
 //!
 //! Every job is independent, but jobs against the *same* floorplan
 //! share their dominant cold cost — operator assembly and propagator
 //! factorization — through the fingerprint-keyed [`OperatorCache`]:
 //! the first job on a floorplan builds (single-flight), every later
-//! job starts solving immediately. Jobs are claimed through
-//! [`ptherm_par::steal::StealQueues`], so a worker that drew a pile of
-//! cheap transients steals a sweep from a loaded sibling instead of
-//! going idle.
+//! job starts solving immediately. Workers claim jobs one at a time in
+//! submission order ([`ptherm_par::par_map`]), so a worker that drew a
+//! cheap transient takes the next job instead of going idle.
 //!
 //! Determinism contract: each job runs single-threaded inside its
 //! worker with a fixed batch width, every cache hit hands back a
 //! bit-identical operator (build is deterministic, fingerprint equality
 //! ⇒ identical entries), and results are collected by submission
 //! index — so a fleet report is **bitwise independent of the worker
-//! count, the steal pattern and the cache state**. The tests assert
-//! all three.
+//! count, which worker ran which job and the cache state**. The tests
+//! assert all three.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@ use ptherm_core::cosim::{
 use ptherm_core::ElectroThermalSolver;
 use ptherm_floorplan::Floorplan;
 use ptherm_math::MultiVec;
-use ptherm_par::steal::StealQueues;
 use ptherm_par::CancelToken;
 use ptherm_tech::Technology;
 use std::collections::HashMap;
@@ -226,15 +224,6 @@ impl FleetEngineBuilder {
     #[must_use]
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.config.batch_lanes = lanes;
-        self
-    }
-
-    /// Sets the lateral and depth-series image orders of every
-    /// operator build.
-    #[must_use]
-    pub fn image_orders(mut self, lateral: usize, z: usize) -> Self {
-        self.config.lateral_order = lateral;
-        self.config.z_order = z;
         self
     }
 
@@ -560,13 +549,11 @@ impl JobRecord {
     }
 }
 
-/// A whole fleet run: per-job records plus scheduler/cache telemetry.
+/// A whole fleet run: per-job records plus cache telemetry.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// One record per submitted job, in submission order.
     pub jobs: Vec<JobRecord>,
-    /// Cross-worker job steals.
-    pub steals: u64,
     /// Steady-operator cache counters.
     pub steady_cache: CacheStats,
     /// Transient-propagator cache counters.
@@ -605,7 +592,7 @@ impl FleetReport {
     }
 }
 
-/// The fleet scheduler (see the [module docs](self)).
+/// The fleet engine (see the [module docs](self)).
 #[derive(Debug)]
 pub struct FleetEngine {
     floorplans: HashMap<String, Arc<Floorplan>>,
@@ -639,11 +626,6 @@ impl FleetEngine {
         self.floorplans.insert(name.into(), Arc::new(floorplan));
     }
 
-    /// Registered floorplan count.
-    pub fn floorplan_count(&self) -> usize {
-        self.floorplans.len()
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
@@ -657,27 +639,10 @@ impl FleetEngine {
     /// Transient-classified failures retry under
     /// [`FleetConfig::retry`]'s budget with deterministic backoff.
     pub fn run(&self, jobs: &[JobSpec]) -> FleetReport {
-        let workers = self.config.threads.clamp(1, jobs.len().max(1));
-        let queues = StealQueues::split(workers, jobs.len());
-        let per_worker = ptherm_par::par_workers(workers, |w| {
-            let mut mine = Vec::new();
-            while let Some(index) = queues.pop(w) {
-                mine.push(self.run_one(&jobs[index], index));
-            }
-            mine
-        });
-        let mut slots: Vec<Option<JobRecord>> = (0..jobs.len()).map(|_| None).collect();
-        for record in per_worker.into_iter().flatten() {
-            let index = record.index;
-            slots[index] = Some(record);
-        }
         FleetReport {
-            jobs: slots
-                .into_iter()
-                // lint:allow(panic-freedom) — StealQueues::pop yields each index in 0..jobs.len() exactly once, so every slot was filled
-                .map(|r| r.expect("every job claimed exactly once"))
-                .collect(),
-            steals: queues.steals(),
+            jobs: ptherm_par::par_map(self.config.threads, jobs, |index, spec| {
+                self.run_one(spec, index)
+            }),
             steady_cache: self.cache.steady_stats(),
             transient_cache: self.cache.transient_stats(),
             map_cache: self.cache.map_stats(),

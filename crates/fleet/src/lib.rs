@@ -11,10 +11,10 @@
 //!   for thermal operators and transient propagators, so the dominant
 //!   per-job cold cost (assembly + factorization) is paid once per
 //!   distinct floorplan, not once per job;
-//! * [`engine`] — [`FleetEngine`]: a work-stealing scheduler
-//!   ([`ptherm_par::steal`]) running a mixed job queue over the shared
-//!   cache, with results bitwise independent of worker count, steal
-//!   pattern and cache state;
+//! * [`engine`] — [`FleetEngine`]: runs a mixed job queue over the
+//!   shared cache on [`ptherm_par::par_map`] workers, with results
+//!   bitwise independent of worker count, of which worker ran which
+//!   job and of cache state;
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]) for
 //!   chaos-testing the engine's panic isolation, retry budgets and
 //!   cache-poisoning recovery;
@@ -24,8 +24,9 @@
 //! * [`json`] — the dependency-free JSON tree backing the protocol and
 //!   the bench regression checker;
 //! * [`server`] — [`FleetServer`]: the persistent socket front-end
-//!   (TCP / Unix) streaming jobs into the scheduler with bounded
-//!   admission, graceful drain and cache warm/persist across restarts;
+//!   (TCP / Unix) streaming jobs to the engine's workers through one
+//!   bounded first-in, first-out queue, with graceful drain and cache
+//!   warm/persist across restarts;
 //! * [`metrics`] — serve-mode counters and latency quantiles behind
 //!   the `{"type": "stats"}` control record;
 //! * [`persist`] — fingerprint-keyed cache manifests: save rebuild

@@ -6,8 +6,7 @@
 //! importantly, its warmed operator caches — alive across requests:
 //! clients connect over TCP (or a Unix socket), stream JSONL job lines,
 //! and read JSONL result lines back on the same connection, while the
-//! engine's work-stealing workers serve every connection off one shared
-//! cache.
+//! engine's workers serve every connection off one shared cache.
 //!
 //! Design, front to back:
 //!
@@ -19,9 +18,9 @@
 //!   table — two connections may both define `"chip"` without
 //!   colliding, and a served job takes the exact solve path (and bit
 //!   pattern) of the same job in a batch run.
-//! * **Scheduling** — admitted jobs push into a *bounded*
-//!   [`StealQueues`] in streaming mode; the engine's workers
-//!   `pop_wait` and steal exactly as in batch mode.
+//! * **Scheduling** — admitted jobs join one *bounded* first-in,
+//!   first-out queue; each of the engine's `threads` workers takes the
+//!   oldest admitted job whenever it is free.
 //! * **Backpressure** — when the queue is at capacity the job is
 //!   refused at admission with a typed `"refused": "backpressure"`
 //!   line naming the depth, rather than buffered without bound. The
@@ -53,14 +52,15 @@ use crate::json::Json;
 use crate::metrics::ServeMetrics;
 use crate::persist::{self, WarmReport};
 use ptherm_floorplan::Floorplan;
-use ptherm_par::steal::{PushError, StealQueues};
+use std::collections::VecDeque;
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -196,6 +196,118 @@ struct Admitted {
     reply: mpsc::Sender<String>,
 }
 
+/// Why [`JobQueue::push`] refused an item. The queue is unchanged
+/// either way; the refusal text goes back to the client verbatim.
+#[derive(Debug, PartialEq, Eq)]
+enum PushError {
+    /// The queue already holds `capacity` items.
+    Full { depth: usize, capacity: usize },
+    /// [`JobQueue::close`] was called: the server is draining.
+    Closed,
+}
+
+impl fmt::Display for PushError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PushError::Full { depth, capacity } => {
+                write!(f, "queue full (depth {depth}/{capacity})")
+            }
+            PushError::Closed => write!(f, "queue closed"),
+        }
+    }
+}
+
+/// The bounded first-in, first-out queue between connection readers
+/// (producers) and the engine's workers (consumers).
+struct JobQueue<T> {
+    state: Mutex<QueueState<T>>,
+    /// Signalled on every push and on close.
+    ready: Condvar,
+    /// Admission bound: at most this many items wait at any instant.
+    capacity: usize,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> JobQueue<T> {
+    /// An open, empty queue holding at most `capacity` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero: such a queue would refuse every
+    /// admission.
+    fn bounded(capacity: usize) -> Self {
+        assert!(capacity > 0, "capacity must be positive");
+        JobQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        // Every critical section is one `VecDeque` call or one flag
+        // store, so a panicking holder cannot leave the state half
+        // updated.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Items admitted and not yet claimed.
+    fn depth(&self) -> usize {
+        self.lock().items.len()
+    }
+
+    /// Admits `item` behind every item already waiting and wakes one
+    /// parked worker. On `Err` the item was dropped unqueued.
+    fn push(&self, item: T) -> Result<(), PushError> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(PushError::Closed);
+        }
+        let depth = state.items.len();
+        if depth >= self.capacity {
+            return Err(PushError::Full {
+                depth,
+                capacity: self.capacity,
+            });
+        }
+        state.items.push_back(item);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Refuses every later push; items already queued still drain.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Claims the oldest waiting item, parking while the queue is open
+    /// and empty. `None` means the queue is closed *and* drained.
+    fn pop_wait(&self) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// What a completed [`FleetServer::serve`] did.
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
@@ -212,7 +324,7 @@ pub struct ServeSummary {
 /// Everything the per-connection and worker threads share.
 struct Shared<'e> {
     engine: &'e FleetEngine,
-    queue: StealQueues<Admitted>,
+    queue: JobQueue<Admitted>,
     metrics: &'e ServeMetrics,
     shutdown: &'e AtomicBool,
     /// Read-half clones of every live connection, nudged
@@ -221,7 +333,7 @@ struct Shared<'e> {
 }
 
 impl Shared<'_> {
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, Vec<Conn>> {
+    fn lock_conns(&self) -> MutexGuard<'_, Vec<Conn>> {
         match self.conns.lock() {
             Ok(guard) => guard,
             // Registry operations (push / shutdown-nudge) cannot leave
@@ -234,7 +346,7 @@ impl Shared<'_> {
         self.metrics
             .stats_json(
                 self.queue.depth(),
-                self.queue.capacity(),
+                self.queue.capacity,
                 &[
                     ("steady", self.engine.cache().steady_stats()),
                     ("transient", self.engine.cache().transient_stats()),
@@ -302,7 +414,7 @@ impl FleetServer {
         let workers = self.engine.config().threads.max(1);
         let shared = Shared {
             engine: &self.engine,
-            queue: StealQueues::bounded(workers, self.config.queue_capacity),
+            queue: JobQueue::bounded(self.config.queue_capacity),
             metrics: &self.metrics,
             shutdown: &self.shutdown,
             conns: Mutex::new(Vec::new()),
@@ -311,9 +423,9 @@ impl FleetServer {
             listener.set_nonblocking(true)?;
         }
         thread::scope(|scope| {
-            for w in 0..workers {
+            for _ in 0..workers {
                 let shared = &shared;
-                scope.spawn(move || worker_loop(w, shared));
+                scope.spawn(move || worker_loop(shared));
             }
             for listener in listeners {
                 let shared = &shared;
@@ -378,11 +490,11 @@ impl FleetServer {
     }
 }
 
-/// Claims admitted jobs (own queue first, then steals) until the queue
-/// is closed *and* drained, running each with its admission-time
-/// floorplan and streaming the result line back to its connection.
-fn worker_loop(worker: usize, shared: &Shared<'_>) {
-    while let Some(job) = shared.queue.pop_wait(worker) {
+/// Claims admitted jobs, oldest first, until the queue is closed *and*
+/// drained, running each with its admission-time floorplan and
+/// streaming the result line back to its connection.
+fn worker_loop(shared: &Shared<'_>) {
+    while let Some(job) = shared.queue.pop_wait() {
         let record = shared.engine.run_resolved(&job.spec, &job.plan, job.seq);
         shared.metrics.job_done(&record);
         let line = record.to_json(&job.spec).render();
@@ -517,4 +629,132 @@ fn refusal_line(job: Option<usize>, kind: &str, error: &str) -> String {
     fields.push(("refused".into(), Json::String(kind.into())));
     fields.push(("error".into(), Json::String(error.into())));
     Json::Object(fields).render()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pushed_items_round_trip() {
+        let q: JobQueue<String> = JobQueue::bounded(8);
+        assert_eq!(q.depth(), 0);
+        assert!(q.push("a".into()).is_ok());
+        assert!(q.push("b".into()).is_ok());
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop_wait().as_deref(), Some("a"));
+        assert_eq!(q.pop_wait().as_deref(), Some("b"));
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn every_claim_returns_the_oldest_item() {
+        let q: JobQueue<u32> = JobQueue::bounded(8);
+        for i in 0..4 {
+            assert!(q.push(i).is_ok());
+        }
+        assert_eq!(q.pop_wait(), Some(0));
+        assert_eq!(q.pop_wait(), Some(1));
+        // A later push queues behind everything already waiting.
+        assert!(q.push(4).is_ok());
+        let rest: Vec<u32> = (0..3).filter_map(|_| q.pop_wait()).collect();
+        assert_eq!(rest, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn full_queue_refuses_with_typed_depth() {
+        let q: JobQueue<u32> = JobQueue::bounded(2);
+        assert!(q.push(1).is_ok());
+        assert!(q.push(2).is_ok());
+        let refusal = q.push(3);
+        assert_eq!(
+            refusal,
+            Err(PushError::Full {
+                depth: 2,
+                capacity: 2
+            })
+        );
+        assert_eq!(
+            refusal.map_err(|e| e.to_string()),
+            Err("queue full (depth 2/2)".to_string())
+        );
+        // Claiming one item frees a slot.
+        assert_eq!(q.pop_wait(), Some(1));
+        assert!(q.push(3).is_ok());
+    }
+
+    #[test]
+    fn close_refuses_new_pushes_but_drains_queued_items() {
+        let q: JobQueue<u32> = JobQueue::bounded(8);
+        assert!(q.push(7).is_ok());
+        q.close();
+        assert_eq!(q.push(8), Err(PushError::Closed));
+        assert_eq!(PushError::Closed.to_string(), "queue closed");
+        // The queued item still drains, then the stream reports over.
+        assert_eq!(q.pop_wait(), Some(7));
+        assert_eq!(q.pop_wait(), None);
+        assert_eq!(q.pop_wait(), None);
+    }
+
+    #[test]
+    fn pop_wait_parks_until_an_item_lands() {
+        let q: JobQueue<u32> = JobQueue::bounded(4);
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| q.pop_wait());
+            // Give the consumer a moment to park, then feed it; it
+            // must return the item whether or not it parked first.
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(q.push(42).is_ok());
+            assert_eq!(consumer.join().expect("join"), Some(42));
+        });
+    }
+
+    #[test]
+    fn concurrent_claims_are_exactly_once() {
+        let total: usize = 2_000;
+        let q: JobQueue<usize> = JobQueue::bounded(total);
+        std::thread::scope(|scope| {
+            let producers: Vec<_> = (0..2)
+                .map(|p| {
+                    let q = &q;
+                    scope.spawn(move || {
+                        for i in (p..total).step_by(2) {
+                            // Capacity equals the total, so every push
+                            // must be admitted.
+                            q.push(i).expect("under capacity");
+                        }
+                    })
+                })
+                .collect();
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    let q = &q;
+                    scope.spawn(move || {
+                        let mut mine = Vec::new();
+                        while let Some(item) = q.pop_wait() {
+                            mine.push(item);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for p in producers {
+                p.join().expect("producer");
+            }
+            q.close();
+            let mut all: Vec<usize> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().expect("consumer"))
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..total).collect::<Vec<_>>());
+        });
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_is_rejected() {
+        let _ = JobQueue::<u32>::bounded(0);
+    }
 }

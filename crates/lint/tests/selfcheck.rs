@@ -55,9 +55,10 @@ fn unsafe_inventory_manifest_matches_tree() {
 
 /// The scenario-space additions sit inside the gated scopes: the
 /// envelope bisector and biased power law ride R1's cosim hot-path
-/// prefix, and the delta result-cache fingerprint in
-/// `fleet/src/jobs.rs` stays under R2's determinism rules. Pinned so
-/// a future scope refactor cannot silently drop them.
+/// prefix, the serve-mode job queue lives in `fleet/src/server.rs`,
+/// and the delta result-cache fingerprint in `fleet/src/jobs.rs`
+/// stays under R2's determinism rules. Pinned so a future scope
+/// refactor cannot silently drop them.
 #[test]
 fn scenario_space_sources_are_inside_the_gated_scopes() {
     for hot in [
@@ -66,6 +67,7 @@ fn scenario_space_sources_are_inside_the_gated_scopes() {
         "crates/core/src/cosim/biased.rs",
         "crates/fleet/src/engine.rs",
         "crates/fleet/src/cache.rs",
+        "crates/fleet/src/server.rs",
     ] {
         let rules = rules_for(hot);
         assert!(rules.panic_freedom, "{hot} must carry R1 panic-freedom");

@@ -6,10 +6,11 @@
 //! and the row-wise build of that operator itself. Three primitives on
 //! top of `std::thread::scope` cover them:
 //!
-//! * [`par_map`] / [`par_map_with`] — parallel indexed map with dynamic
-//!   (work-stealing-style) assignment, so uneven items (e.g. runaway
-//!   scenarios that bail early next to slow-converging ones) do not
-//!   leave threads idle, plus optional per-worker state;
+//! * [`par_map`] / [`par_map_with`] — parallel indexed map whose
+//!   workers claim items one at a time from a shared cursor, so uneven
+//!   items (e.g. runaway scenarios that bail early next to
+//!   slow-converging ones, or a fleet's cheap transients next to large
+//!   sweeps) do not leave threads idle, plus optional per-worker state;
 //! * [`par_workers`] — raw scoped workers for self-scheduling loops (the
 //!   batched sweep pulls scenario indices from a shared atomic counter);
 //! * [`par_partition_mut`] — splits one `&mut [T]` into contiguous
@@ -35,7 +36,6 @@
 //! ```
 
 pub mod cancel;
-pub mod steal;
 
 pub use cancel::CancelToken;
 
